@@ -647,7 +647,7 @@ let measure_fleet () =
 
 let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
     ~scale_results ~fleet_results =
-  let esc = Dcopt_obs.Metrics.json_escape in
+  let esc s = Dcopt_util.Json.(to_string (String s)) in
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"schema\": \"dcopt-bench-timing/1\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" !quick;
@@ -655,7 +655,7 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
   Buffer.add_string b "  \"kernels\": [\n";
   List.iteri
     (fun i (name, ns) ->
-      Printf.bprintf b "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n"
+      Printf.bprintf b "    {\"name\": %s, \"ns_per_run\": %s}%s\n"
         (esc name)
         (match ns with Some v -> Printf.sprintf "%.3f" v | None -> "null")
         (if i < List.length kernels - 1 then "," else ""))
@@ -663,7 +663,7 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
   Buffer.add_string b "  ],\n  \"full_joint\": [\n";
   List.iteri
     (fun i (circuit, seconds) ->
-      Printf.bprintf b "    {\"circuit\": \"%s\", \"seconds\": %.4f}%s\n"
+      Printf.bprintf b "    {\"circuit\": %s, \"seconds\": %.4f}%s\n"
         (esc circuit) seconds
         (if i < List.length full_joint - 1 then "," else ""))
     full_joint;
@@ -671,7 +671,7 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
   List.iteri
     (fun i (name, full_ns, incr_ns, dirty_per_move) ->
       Printf.bprintf b
-        "    {\"name\": \"%s\", \"full_ns_per_move\": %.1f, \
+        "    {\"name\": %s, \"full_ns_per_move\": %.1f, \
          \"incr_ns_per_move\": %.1f, \"speedup\": %.2f, \
          \"dirty_gates_per_move\": %.2f, \"gate_count\": %d}%s\n"
         (esc name) full_ns incr_ns
@@ -683,7 +683,7 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
   List.iteri
     (fun i r ->
       Printf.bprintf b
-        "    {\"name\": \"%s\", \"gates\": %d, \"nodes\": %d, \
+        "    {\"name\": %s, \"gates\": %d, \"nodes\": %d, \
          \"ns_per_gate\": %.3f, \"pointer_ns_per_gate\": %.3f, \
          \"speedup_vs_pointer\": %.2f, \"jobs_identical\": %b}%s\n"
         (esc r.sc_name) r.sc_gates r.sc_nodes r.sc_ns_per_gate
@@ -694,7 +694,7 @@ let write_timing_json path ~kernels ~full_joint ~incremental ~gate_count
   List.iteri
     (fun i r ->
       Printf.bprintf b
-        "    {\"name\": \"%s\", \"jobs\": %d, \"workers\": %d, \"cpus\": %d, \
+        "    {\"name\": %s, \"jobs\": %d, \"workers\": %d, \"cpus\": %d, \
          \"ns_per_job\": %.1f, \"one_worker_ns_per_job\": %.1f, \
          \"speedup_vs_one_worker\": %.2f, \"rows_identical\": %b}%s\n"
         (esc r.fl_name) r.fl_jobs r.fl_workers r.fl_cpus r.fl_ns_per_job

@@ -21,13 +21,12 @@ module Json = Dcopt_util.Json
 module Service = Dcopt_service.Service
 module Job = Dcopt_service.Job
 module Store = Dcopt_service.Store
-module Checkpoint = Dcopt_service.Checkpoint
 module Circuit = Dcopt_netlist.Circuit
 module Stats = Dcopt_netlist.Circuit_stats
 module Span = Dcopt_obs.Span
 module Metrics = Dcopt_obs.Metrics
 module Telemetry = Dcopt_obs.Telemetry
-module Clock = Dcopt_obs.Clock
+module Clock = Dcopt_util.Clock
 module Si = Dcopt_util.Si
 module Text_table = Dcopt_util.Text_table
 open Cmdliner
@@ -1157,7 +1156,7 @@ let batch_cmd =
         lines
     in
     let store = Option.map Store.open_ store in
-    let checkpoint = Option.map Checkpoint.open_ checkpoint in
+    let checkpoint = Option.map Store.open_ checkpoint in
     let jobs =
       List.filter_map (function `Job j -> Some j | `Row _ -> None) entries
     in
@@ -1179,7 +1178,7 @@ let batch_cmd =
           "interrupted: %d of %d jobs answerable; resume with --checkpoint \
            %s\n\
            %!"
-          (List.length rows) (List.length jobs) (Checkpoint.dir ck);
+          (List.length rows) (List.length jobs) (Store.dir ck);
         Stdlib.exit (if signal = Sys.sigterm then 143 else 130)
       in
       List.iter

@@ -1,3 +1,4 @@
+module Json = Dcopt_util.Json
 module Stats = Dcopt_util.Stats
 module Prng = Dcopt_util.Prng
 
@@ -189,6 +190,10 @@ let format_value v =
     Printf.sprintf "%.3g" v
   else Printf.sprintf "%.4g" v
 
+(* The human table lists only series that moved: zero counters and
+   gauges and empty histograms are noise there (a plain [optimize]
+   registers dozens of service and fleet series it never touches). The
+   machine outputs below still list every series. *)
 let render () =
   let table =
     Dcopt_util.Text_table.create
@@ -199,44 +204,35 @@ let render () =
       let row =
         match m with
         | Counter c ->
-          [ name; "counter"; string_of_int (Atomic.get c.count); "-"; "-";
-            "-"; "-"; "-" ]
+          let v = Atomic.get c.count in
+          if v = 0 then None
+          else
+            Some [ name; "counter"; string_of_int v; "-"; "-"; "-"; "-"; "-" ]
         | Gauge g ->
-          [ name; "gauge"; "-"; format_value g.value; "-"; "-"; "-"; "-" ]
+          if g.value = 0.0 then None
+          else
+            Some
+              [ name; "gauge"; "-"; format_value g.value; "-"; "-"; "-"; "-" ]
         | Histogram h ->
-          if h.len = 0 then
-            [ name; "histogram"; "0"; "-"; "-"; "-"; "-"; "-" ]
+          if h.len = 0 then None
           else
             let xs = samples h in
             let _, hi = Stats.min_max xs in
-            [
-              name; "histogram"; string_of_int h.total;
-              format_value (mean h);
-              format_value (Stats.quantile xs 0.5);
-              format_value (Stats.quantile xs 0.9);
-              format_value (Stats.quantile xs 0.99);
-              format_value hi;
-            ]
+            Some
+              [
+                name; "histogram"; string_of_int h.total;
+                format_value (mean h);
+                format_value (Stats.quantile xs 0.5);
+                format_value (Stats.quantile xs 0.9);
+                format_value (Stats.quantile xs 0.99);
+                format_value hi;
+              ]
       in
-      Dcopt_util.Text_table.add_row table row)
+      Option.iter (Dcopt_util.Text_table.add_row table) row)
     (sorted_metrics ());
   Dcopt_util.Text_table.render table
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_string s = Json.to_string (Json.String s)
 
 let json_float v =
   if Float.is_nan v then "null"
@@ -250,18 +246,18 @@ let to_json_lines () =
     (fun (name, m) ->
       let help =
         match Hashtbl.find_opt help_texts name with
-        | Some h -> Printf.sprintf ",\"help\":\"%s\"" (json_escape h)
+        | Some h -> Printf.sprintf ",\"help\":%s" (json_string h)
         | None -> ""
       in
       (match m with
       | Counter c ->
         Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"type\":\"counter\",\"value\":%d%s}"
-             (json_escape name) (Atomic.get c.count) help)
+          (Printf.sprintf "{\"name\":%s,\"type\":\"counter\",\"value\":%d%s}"
+             (json_string name) (Atomic.get c.count) help)
       | Gauge g ->
         Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"type\":\"gauge\",\"value\":%s%s}"
-             (json_escape name) (json_float g.value) help)
+          (Printf.sprintf "{\"name\":%s,\"type\":\"gauge\",\"value\":%s%s}"
+             (json_string name) (json_float g.value) help)
       | Histogram h ->
         let xs = samples h in
         let stats =
@@ -286,8 +282,8 @@ let to_json_lines () =
         in
         Buffer.add_string b
           (Printf.sprintf
-             "{\"name\":\"%s\",\"type\":\"histogram\",%s,\"buckets\":[%s]%s}"
-             (json_escape name) stats bucket_json help));
+             "{\"name\":%s,\"type\":\"histogram\",%s,\"buckets\":[%s]%s}"
+             (json_string name) stats bucket_json help));
       Buffer.add_char b '\n')
     (sorted_metrics ());
   Buffer.contents b
@@ -331,7 +327,7 @@ let om_float v =
   if Float.is_nan v then "NaN"
   else if v = infinity then "+Inf"
   else if v = neg_infinity then "-Inf"
-  else Dcopt_util.Json.float_lit v
+  else Json.float_lit v
 
 let render_openmetrics () =
   let b = Buffer.create 4096 in

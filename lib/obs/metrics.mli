@@ -85,13 +85,11 @@ val reset : unit -> unit
     the CLI between runs. *)
 
 val render : unit -> string
-(** All metrics as a fixed-width table ({!Dcopt_util.Text_table}):
-    counters and gauges with their value, histograms with count, mean,
-    p50/p90/p99 and max. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (used by the
-    JSON emitters here and in {!Span}). *)
+(** The metrics that moved, as a fixed-width table
+    ({!Dcopt_util.Text_table}): non-zero counters and gauges with their
+    value, histograms with at least one observation with count, mean,
+    p50/p90/p99 and max. Zero series are left out here only;
+    {!to_json_lines} and {!render_openmetrics} list every series. *)
 
 val to_json_lines : unit -> string
 (** One JSON object per line per metric, machine-readable:

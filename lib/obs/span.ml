@@ -1,3 +1,6 @@
+module Clock = Dcopt_util.Clock
+module Json = Dcopt_util.Json
+
 type span = {
   name : string;
   start_ns : int64;
@@ -134,6 +137,8 @@ let roll_up () =
       (name, n, t))
     !order
 
+let json_string s = Json.to_string (Json.String s)
+
 let export_chrome () =
   let spans = merged () in
   let t0 =
@@ -151,14 +156,13 @@ let export_chrome () =
       let args_json =
         ("depth", string_of_int s.depth) :: s.args
         |> List.map (fun (k, v) ->
-               Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k)
-                 (Metrics.json_escape v))
+               Printf.sprintf "%s:%s" (json_string k) (json_string v))
         |> String.concat ","
       in
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"dcopt\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{%s}}"
-           (Metrics.json_escape s.name)
+           "{\"name\":%s,\"cat\":\"dcopt\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{%s}}"
+           (json_string s.name)
            tid
            (Clock.ns_to_us (Int64.sub s.start_ns t0))
            (Clock.ns_to_us s.dur_ns) args_json))

@@ -9,7 +9,6 @@ type options = {
   cooling : float;
   seed : int64;
   warm_start : bool;
-  checkpoint : string option;
 }
 
 let default_options =
@@ -20,7 +19,6 @@ let default_options =
     cooling = 0.0; (* 0 = derive from moves_per_pass at run time *)
     seed = 0x5EEDL;
     warm_start = false;
-    checkpoint = None;
   }
 
 (* Log-energy cost with a steep timing penalty, so the walk can cross
@@ -165,75 +163,6 @@ let run_pass ?record env ~budgets ~options rng =
   done;
   !best
 
-(* ------------------------------------------------------------------ *)
-(* Per-pass crash-safe checkpoints                                      *)
-
-module Json = Dcopt_util.Json
-module Metrics = Dcopt_obs.Metrics
-
-let ckpt_hits_c =
-  Metrics.counter ~help:"annealing passes resumed from a checkpoint"
-    "anneal.checkpoint.hits"
-
-let ckpt_writes_c =
-  Metrics.counter ~help:"annealing pass checkpoints written"
-    "anneal.checkpoint.writes"
-
-let checkpoint_version = 1
-
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    let parent = Filename.dirname path in
-    if parent <> path then mkdir_p parent;
-    try Sys.mkdir path 0o755
-    with Sys_error _ when Sys.is_directory path -> ()
-  end
-
-let pass_path dir i = Filename.concat dir (Printf.sprintf "pass%d.json" i)
-
-(* The file carries the run's full identity — seed, every option that
-   shapes the walk, and the pass's pre-split PRNG state — so a stale
-   checkpoint (different options or seed) can never leak into a run. *)
-let pass_doc ~options ~rng_state result =
-  Json.Obj
-    [
-      ("version", Json.Int checkpoint_version);
-      ("seed", Json.String (Int64.to_string options.seed));
-      ("passes", Json.Int options.passes);
-      ("moves_per_pass", Json.Int options.moves_per_pass);
-      ("initial_temperature", Json.Float options.initial_temperature);
-      ("cooling", Json.Float options.cooling);
-      ("warm_start", Json.Bool options.warm_start);
-      ("rng_state", Json.String (Int64.to_string rng_state));
-      ( "result",
-        match result with Some s -> Solution.to_json s | None -> Json.Null );
-    ]
-
-(* [Some result] when the file is present, parses, and matches the run's
-   identity exactly; anything else — missing, corrupt, stale — means the
-   pass must rerun. Identity is compared structurally on the rendered
-   members (Json floats round-trip exactly, so this is bit-precise). *)
-let pass_of_file ~options ~rng_state path =
-  match Json.read_file path with
-  | Error _ -> None
-  | Ok doc -> (
-    let expected = pass_doc ~options ~rng_state None in
-    let identity j =
-      match Json.get_obj j with
-      | Some members -> List.filter (fun (k, _) -> k <> "result") members
-      | None -> []
-    in
-    match identity doc = identity expected && identity doc <> [] with
-    | false -> None
-    | true -> (
-      match Json.field "result" doc with
-      | Some Json.Null -> Some None
-      | Some s -> (
-        match Solution.of_json s with
-        | Ok sol -> Some (Some sol)
-        | Error _ -> None)
-      | None -> None))
-
 let optimize ?observer ?(options = default_options) env ~budgets =
   let rng = Prng.create options.seed in
   let passes = max 0 options.passes in
@@ -244,43 +173,16 @@ let optimize ?observer ?(options = default_options) env ~budgets =
   for i = 0 to passes - 1 do
     rngs.(i) <- Prng.split rng
   done;
-  (* pre-run states: the checkpoint identity of each pass *)
-  let rng_states = Array.map Prng.state rngs in
-  let resume =
-    match options.checkpoint with
-    | None -> Array.make passes None
-    | Some dir ->
-      mkdir_p dir;
-      Array.init passes (fun i ->
-          let r =
-            pass_of_file ~options ~rng_state:rng_states.(i) (pass_path dir i)
-          in
-          if r <> None then Metrics.incr ckpt_hits_c;
-          r)
-  in
   let buffers = Array.init passes (fun _ -> ref []) in
   let results =
     Dcopt_par.Par.map ~site:"annealing.passes"
       (fun i ->
-        match resume.(i) with
-        | Some result -> result
-        | None ->
-          let record =
-            match observer with
-            | None -> None
-            | Some _ -> Some (fun it -> buffers.(i) := it :: !(buffers.(i)))
-          in
-          let result = run_pass ?record env ~budgets ~options rngs.(i) in
-          (match options.checkpoint with
-          | None -> ()
-          | Some dir ->
-            (* written from the worker right as the pass completes (the
-               pool barrier would lose end-of-batch writes to a SIGKILL);
-               atomic tmp+rename, so a crash never leaves a torn file *)
-            Json.write_file (pass_path dir i)
-              (pass_doc ~options ~rng_state:rng_states.(i) result);
-            Metrics.incr ckpt_writes_c);
-          result)
+        let record =
+          match observer with
+          | None -> None
+          | Some _ -> Some (fun it -> buffers.(i) := it :: !(buffers.(i)))
+        in
+        run_pass ?record env ~budgets ~options rngs.(i))
       (Array.init passes Fun.id)
   in
   (* Sequential emission in pass order, move indices renumbered to the

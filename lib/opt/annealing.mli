@@ -17,17 +17,6 @@ type options = {
         mid-range design the walk must shape itself; true: start from a
         feasible Procedure-2-style sized design — an extension under which
         annealing becomes competitive (see EXPERIMENTS.md). *)
-  checkpoint : string option;
-    (** directory for crash-safe per-pass checkpoints (default [None]).
-        Each completed pass atomically writes [pass<i>.json] — version,
-        the run's full identity (seed, options, the pass's pre-split PRNG
-        state) and its best solution (or null). A rerun with the same
-        identity skips every checkpointed pass and recomputes only the
-        missing ones, producing the same result as an uninterrupted run;
-        stale or corrupt files (different identity, unparsable) are
-        ignored and the pass reruns. Counted under
-        [anneal.checkpoint.hits]/[anneal.checkpoint.writes]. Resumed
-        passes do not re-emit their telemetry stream. *)
 }
 
 val default_options : options

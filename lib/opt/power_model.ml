@@ -350,7 +350,14 @@ let arrivals_feasible env ~critical_delay arrival =
       (fun id -> arrival.(id) <= req.(id) *. (1.0 +. 1e-6))
       (Circuit.outputs env.env_circuit)
 
-let evaluate_with ~jobs ~min_par_width env design =
+let evaluate ?jobs ?(min_par_width = default_min_par_width) env design =
+  let jobs =
+    match jobs with
+    | Some j -> j
+    | None ->
+      if Array.length env.gates_topo >= par_gate_threshold then Par.jobs ()
+      else 1
+  in
   let n = Circuit.size env.env_circuit in
   let delays = Array.make n 0.0 in
   let arrival =
@@ -414,18 +421,6 @@ let evaluate_with ~jobs ~min_par_width env design =
     critical_delay;
     feasible = (not tripped) && arrivals_feasible env ~critical_delay arrival;
   }
-
-let evaluate_seq env design =
-  evaluate_with ~jobs:1 ~min_par_width:max_int env design
-
-let evaluate_par ?jobs ?(min_par_width = default_min_par_width) env design =
-  let jobs = match jobs with Some j -> j | None -> Par.jobs () in
-  evaluate_with ~jobs ~min_par_width env design
-
-let evaluate env design =
-  if Array.length env.gates_topo >= par_gate_threshold && Par.jobs () > 1 then
-    evaluate_par env design
-  else evaluate_seq env design
 
 (* The load depends only on the gate's *fanout* widths — fixed for the
    whole search (combinational circuits have no self-loops, and size_all

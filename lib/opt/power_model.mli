@@ -111,7 +111,7 @@ val budget_fanin_delay : env -> budgets:float array -> int -> float
 (** Max of the drivers' delay budgets — the conservative driver delay used
     while sizing (a driver meeting its budget can only be faster). *)
 
-val evaluate : env -> design -> evaluation
+val evaluate : ?jobs:int -> ?min_par_width:int -> env -> design -> evaluation
 (** Full evaluation: achieved delays by topological propagation, energy
     totals over all gates, feasibility against the cycle time.
 
@@ -121,22 +121,13 @@ val evaluate : env -> design -> evaluation
     false, and the trip is counted under [guard.*]. Never returns NaN in
     the energy/power/critical-delay fields.
 
-    Large circuits (>= 20k gates) dispatch each level slice of the sweep
-    to the {!Dcopt_par.Par} pool when the global job count exceeds 1; the
-    energy totals are still folded sequentially in topological gate
-    order, so the result is byte-identical to {!evaluate_seq} at any job
-    count. *)
-
-val evaluate_seq : env -> design -> evaluation
-(** {!evaluate} forced onto the single-threaded path — the reference the
-    differential tests compare against. *)
-
-val evaluate_par : ?jobs:int -> ?min_par_width:int -> env -> design -> evaluation
-(** {!evaluate} with explicit level-parallel dispatch: level slices of at
-    least [min_par_width] gates (default 512) are chunked over [jobs]
-    domains (default {!Dcopt_par.Par.jobs}). Per-gate values and the
-    sequentially folded totals are bit-identical to {!evaluate_seq}
-    regardless of [jobs]. *)
+    Level slices of at least [min_par_width] gates (default 512) are
+    chunked over [jobs] domains. Without [jobs], circuits under 20k
+    gates run single-threaded and larger ones use {!Dcopt_par.Par.jobs}.
+    The energy totals are folded sequentially in topological gate order,
+    so per-gate values and totals are bit-identical at any [jobs]
+    ([~jobs:1] is the single-threaded reference the differential tests
+    compare against). *)
 
 val size_gate :
   env -> design -> budgets:float array -> int -> float option

@@ -262,8 +262,9 @@ let prune t =
    hook of {!Service.run_batch_via}: everything around it (dedup,
    store/checkpoint reads, row assembly) already happened or will
    happen on the coordinator, so all this loop owes is one outcome per
-   task — whatever workers live or die in between. *)
-let execute t ?checkpoint ~batch_id tasks =
+   task — whatever workers live or die in between — reported through
+   [on_result] as it lands (which is what checkpoints it). *)
+let execute t ~batch_id ~on_result tasks =
   let n = Array.length tasks in
   if n = 0 then [||]
   else begin
@@ -278,12 +279,7 @@ let execute t ?checkpoint ~batch_id tasks =
       if Option.is_none results.(idx) then begin
         results.(idx) <- Some c;
         decr remaining;
-        match checkpoint with
-        | Some ck ->
-          Checkpoint.record ck
-            (Service.task_digest tasks.(idx))
-            c.Service.comp_outcome
-        | None -> ()
+        on_result tasks.(idx) c
       end
     in
     let fallback idx ~why =
@@ -629,9 +625,7 @@ let execute t ?checkpoint ~batch_id tasks =
 
 let run_batch t ?store ?checkpoint jobs =
   if t.closed then invalid_arg "Fleet.run_batch: fleet is shut down";
-  Service.run_batch_via ?store ?checkpoint
-    ~execute:(fun ~batch_id tasks -> execute t ?checkpoint ~batch_id tasks)
-    jobs
+  Service.run_batch_via ?store ?checkpoint ~execute:(execute t) jobs
 
 let shutdown t =
   if not t.closed then begin

@@ -10,7 +10,8 @@
     identity the coordinator did not spawn is accepted as long as the id
     is free and not quarantined. {!run_batch} is a drop-in replacement
     for {!Service.run_batch}: the whole batch pipeline (dedup,
-    store/checkpoint lookups, row assembly) still runs on the
+    store/checkpoint lookups and checkpoint writes, row assembly) still
+    runs on the
     coordinator via {!Service.run_batch_via}, and only the compute step
     is distributed — so rows are byte-identical to the in-process path
     by construction, whatever the worker count and whatever crashes.
@@ -101,10 +102,13 @@ val create : options -> t
     resolved (the message carries the {!Wire} diagnostic). *)
 
 val run_batch :
-  t -> ?store:Store.t -> ?checkpoint:Checkpoint.t -> Job.t list -> Job.row list
+  t -> ?store:Store.t -> ?checkpoint:Store.t -> Job.t list -> Job.row list
 (** {!Service.run_batch} semantics, compute step distributed over the
-    fleet. Spawns (or replaces) workers as needed. Raises
-    [Invalid_argument] after {!shutdown}. *)
+    fleet. Each result is checkpointed on the coordinator the moment
+    its frame arrives (or its local fallback finishes), through
+    {!Service.run_batch_via}'s per-result callback. Spawns (or
+    replaces) workers as needed. Raises [Invalid_argument] after
+    {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Send every live worker a [shutdown] frame, give clean exits ~2 s,

@@ -54,7 +54,8 @@ type outcome =
 
 val outcome_to_store_json : outcome -> Dcopt_util.Json.t option
 (** The versioned value document the {!Store} cache and the batch
-    {!Checkpoint} both persist; [None] for [Failed] (never cached). *)
+    checkpoint (also a {!Store}) both persist; [None] for [Failed]
+    (never cached). *)
 
 val outcome_of_store_json : Dcopt_util.Json.t -> outcome option
 (** Decode a persisted value document; [None] on any shape mismatch (the

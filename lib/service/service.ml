@@ -7,7 +7,7 @@ module Diag = Dcopt_util.Diag
 module Par = Dcopt_par.Par
 module Metrics = Dcopt_obs.Metrics
 module Span = Dcopt_obs.Span
-module Clock = Dcopt_obs.Clock
+module Clock = Dcopt_util.Clock
 module Events = Dcopt_obs.Events
 module Json = Dcopt_util.Json
 
@@ -29,6 +29,14 @@ let cache_hits_c =
 
 let cache_misses_c =
   Metrics.counter ~help:"Jobs that had to compute" "service.cache.misses"
+
+let checkpoint_hits_c =
+  Metrics.counter ~help:"Batch jobs resumed from a checkpoint directory"
+    "service.checkpoint.hits"
+
+let checkpoint_writes_c =
+  Metrics.counter ~help:"Per-job batch checkpoints written"
+    "service.checkpoint.writes"
 
 let queue_depth_g =
   Metrics.gauge ~help:"Distinct computations scheduled by the running batch"
@@ -188,15 +196,20 @@ let resolve_job (job : Job.t) =
       retries = job.Job.retries;
     }
 
-(* Store/checkpoint entries share one value format (Job); a document
-   that exists but decodes to no outcome is a corrupt entry: a counted
-   miss, never a crash. *)
-let outcome_of_store doc =
-  match Job.outcome_of_store_json doc with
-  | Some _ as r -> r
-  | None ->
-    Store.note_corrupt ();
-    None
+(* Store and checkpoint are both a Store holding one value format
+   (Job); a document that exists but decodes to no outcome is a corrupt
+   entry: a counted miss, never a crash. *)
+let find_outcome st key =
+  match Store.find st key with
+  | None -> None
+  | Some doc ->
+    let outcome = Job.outcome_of_store_json doc in
+    if Option.is_none outcome then Store.note_corrupt ();
+    outcome
+
+(* Failed outcomes are never persisted: a crash is worth retrying. *)
+let persist st key outcome =
+  Option.iter (Store.put st key) (Job.outcome_to_store_json outcome)
 
 type computed = {
   comp_outcome : Job.outcome;
@@ -216,13 +229,15 @@ let outcome_status = function
    observer raises past the deadline — is retried up to [retries] times
    and then recorded as [Failed]. Runs on a pool worker, so it touches
    only counters (atomic), spans (per-domain) and events (mutexed sink) —
-   never gauges/histograms; wall time and allocation are measured here
+   never gauges/histograms; elapsed time and allocation are measured here
    and folded into histograms after the pool barrier, on the main domain.
+   Deadlines and elapsed time read the monotonic clock: a wall-clock step
+   (NTP, an injected clock jump) must never time a job out.
    [Gc.allocated_bytes] is per-domain and a task never migrates, so the
    delta is this job's allocation (plus any event/span bookkeeping, which
    is noise at job scale). *)
 let compute r =
-  let t0 = Clock.now_ns () in
+  let t0 = Clock.monotonic_ns () in
   let alloc0 = Gc.allocated_bytes () in
   Events.info "job.start"
     ~fields:
@@ -235,10 +250,11 @@ let compute r =
     let deadline =
       match r.timeout_s with
       | None -> Int64.max_int
-      | Some s -> Int64.add (Clock.now_ns ()) (Int64.of_float (s *. 1e9))
+      | Some s ->
+        Int64.add (Clock.monotonic_ns ()) (Int64.of_float (s *. 1e9))
     in
     let observer _it =
-      if Int64.compare (Clock.now_ns ()) deadline > 0 then raise Timed_out
+      if Int64.compare (Clock.monotonic_ns ()) deadline > 0 then raise Timed_out
     in
     match
       let p = Flow.prepare ~config:r.config ?constraints:r.constraints
@@ -274,7 +290,7 @@ let compute r =
       ~args:[ ("optimizer", r.optimizer.Optimizer.name); ("digest", r.key) ]
       (fun () -> go 1)
   in
-  let wall_ns = Int64.sub (Clock.now_ns ()) t0 in
+  let wall_ns = Int64.sub (Clock.monotonic_ns ()) t0 in
   let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
   (match outcome with
   | Job.Failed { error; _ } ->
@@ -324,35 +340,33 @@ let compute_task ~batch_id t =
 
 let fresh_batch_id () = 1 + Atomic.fetch_and_add batch_seq 1
 
-(* The batch pipeline with the compute step abstracted out: resolution,
-   dedup, store/checkpoint lookups, bookkeeping and row assembly all
-   happen here (on the calling domain), and [execute] turns the deduped
-   task array into one [computed] per task — by any means. The default
-   executor is the in-process domain pool; the fleet executor ships
-   tasks to worker processes. Rows depend only on what [execute]
-   returns, never on how it scheduled — the byte-identity invariant
-   across [--jobs]/[--workers] paths lives here. *)
-let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
-  Span.with_ "service.batch" @@ fun () ->
-  let batch_id =
-    match batch_id with Some id -> id | None -> fresh_batch_id ()
-  in
-  Events.with_scope ~batch_id @@ fun () ->
+let job_id_at jobs i =
+  match jobs.(i).Job.id with Some id -> id | None -> Printf.sprintf "job%d" i
+
+type source = Store_hit | Checkpoint_hit
+
+(* What a batch knows before computing anything: every job resolved,
+   the distinct computations in first-occurrence order, and the outcomes
+   the store and the checkpoint already hold for them (the store is
+   asked first). [run_batch_via] and [partial_rows] both start here, so
+   they agree on lookups and on cache_hit flags by construction. *)
+type plan = {
+  jobs : Job.t array;
+  resolved : (resolved, string) result array;
+  first_index : (string, int) Hashtbl.t;
+  unique : task list;
+  answered : (string, source * Job.outcome) Hashtbl.t;
+  to_compute : task array;
+}
+
+let plan ?store ?checkpoint jobs =
   let jobs = Array.of_list jobs in
-  Metrics.incr ~by:(Array.length jobs) jobs_c;
-  Events.info "batch.start"
-    ~fields:[ ("jobs", Json.Int (Array.length jobs)) ];
   let resolved = Array.map resolve_job jobs in
-  let job_id_at i =
-    match jobs.(i).Job.id with
-    | Some id -> id
-    | None -> Printf.sprintf "job%d" i
-  in
   (* first-occurrence order of each distinct digest; later identical
      jobs reuse the first one's outcome, so cache_hit flags and results
      never depend on scheduling. Each unique computation carries the
      job_id of its first occurrence as its event-log identity. *)
-  let first_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let first_index = Hashtbl.create 16 in
   let unique = ref [] in
   Array.iteri
     (fun i r ->
@@ -360,64 +374,134 @@ let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
       | Ok r when not (Hashtbl.mem first_index r.key) ->
         Hashtbl.add first_index r.key i;
         unique :=
-          { task_id = job_id_at i; task_job = jobs.(i); task_res = r }
+          { task_id = job_id_at jobs i; task_job = jobs.(i); task_res = r }
           :: !unique
       | _ -> ())
     resolved;
   let unique = List.rev !unique in
-  (* store lookups happen on the main domain, before scheduling *)
-  let from_store : (string, Job.outcome) Hashtbl.t = Hashtbl.create 16 in
-  (match store with
-  | None -> ()
-  | Some st ->
-    List.iter
-      (fun t ->
-        let r = t.task_res in
-        match Option.bind (Store.find st r.key) outcome_of_store with
-        | Some outcome ->
-          Hashtbl.add from_store r.key outcome;
-          Events.with_scope ~job_id:t.task_id (fun () ->
-              Events.info "job.store_hit"
-                ~fields:[ ("digest", Json.String r.key) ])
-        | None -> ())
-      unique);
-  (* Checkpoint hits replace the computation but keep [cache_hit = false]
-     — the resumed batch must be byte-identical to the uninterrupted one,
-     which computed these rows cold. *)
-  let from_ckpt : (string, Job.outcome) Hashtbl.t = Hashtbl.create 16 in
-  (match checkpoint with
-  | None -> ()
-  | Some ck ->
-    List.iter
-      (fun t ->
-        let r = t.task_res in
-        if not (Hashtbl.mem from_store r.key) then
-          match Checkpoint.find ck r.key with
+  let answered = Hashtbl.create 16 in
+  let lookup source st pending =
+    match st with
+    | None -> pending
+    | Some st ->
+      List.filter
+        (fun t ->
+          match find_outcome st t.task_res.key with
           | Some outcome ->
-            Hashtbl.add from_ckpt r.key outcome;
-            Events.with_scope ~job_id:t.task_id (fun () ->
-                Events.info "job.checkpoint_hit"
-                  ~fields:[ ("digest", Json.String r.key) ]);
-            (* a resumed outcome is as good as a computed one: persist it
-               to the warm store too *)
-            (match store with
-            | Some st -> (
-              match Job.outcome_to_store_json outcome with
-              | Some doc -> Store.put st r.key doc
-              | None -> ())
-            | None -> ())
-          | None -> ())
-      unique);
-  let to_compute =
-    Array.of_list
-      (List.filter
-         (fun t ->
-           let key = t.task_res.key in
-           not (Hashtbl.mem from_store key || Hashtbl.mem from_ckpt key))
-         unique)
+            if source = Checkpoint_hit then Metrics.incr checkpoint_hits_c;
+            Hashtbl.add answered t.task_res.key (source, outcome);
+            false
+          | None -> true)
+        pending
   in
+  let to_compute =
+    unique |> lookup Store_hit store |> lookup Checkpoint_hit checkpoint
+  in
+  {
+    jobs;
+    resolved;
+    first_index;
+    unique;
+    answered;
+    to_compute = Array.of_list to_compute;
+  }
+
+(* Rows in job order, skipping jobs whose digest [outcome_of] does not
+   know. The one cache_hit rule: a store hit, or a repeat of an
+   identical job whose first occurrence produced a cacheable outcome. A
+   checkpoint hit of a first occurrence reads cache-cold — a resumed
+   batch must be byte-identical to the uninterrupted one, which
+   computed that row. *)
+let rows_of_plan p ~outcome_of =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun i (job : Job.t) ->
+         let row ~digest ~cache_hit outcome =
+           {
+             Job.job_id = job_id_at p.jobs i;
+             row_circuit = job.Job.circuit;
+             row_optimizer = job.Job.optimizer;
+             digest;
+             cache_hit;
+             outcome;
+           }
+         in
+         match p.resolved.(i) with
+         | Error msg ->
+           Some
+             (row ~digest:"" ~cache_hit:false
+                (Job.Failed { error = msg; attempts = 0 }))
+         | Ok r ->
+           Option.map
+             (fun outcome ->
+               let store_hit =
+                 match Hashtbl.find_opt p.answered r.key with
+                 | Some (Store_hit, _) -> true
+                 | _ -> false
+               in
+               let duplicate = Hashtbl.find p.first_index r.key <> i in
+               row ~digest:r.key
+                 ~cache_hit:(store_hit || (duplicate && cacheable outcome))
+                 outcome)
+             (outcome_of r.key))
+       (Array.to_list p.jobs))
+
+let answered_outcome p key = Option.map snd (Hashtbl.find_opt p.answered key)
+
+(* The batch pipeline with the compute step abstracted out: resolution,
+   dedup, store/checkpoint lookups, bookkeeping and row assembly all
+   happen here (on the calling domain), and [execute] turns the deduped
+   task array into one [computed] per task — by any means. The default
+   executor is the in-process domain pool; the fleet executor ships
+   tasks to worker processes. Rows depend only on what [execute]
+   returns, never on how it scheduled — the byte-identity invariant
+   across [--jobs]/[--workers] paths lives here. So does the checkpoint:
+   [execute] reports each result through [on_result] as it lands, and
+   this is the only code that writes or reads the checkpoint. *)
+let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
+  Span.with_ "service.batch" @@ fun () ->
+  let batch_id =
+    match batch_id with Some id -> id | None -> fresh_batch_id ()
+  in
+  Events.with_scope ~batch_id @@ fun () ->
+  Metrics.incr ~by:(List.length jobs) jobs_c;
+  Events.info "batch.start" ~fields:[ ("jobs", Json.Int (List.length jobs)) ];
+  let p = plan ?store ?checkpoint jobs in
+  let store_hits = ref 0 and checkpoint_hits = ref 0 in
+  List.iter
+    (fun t ->
+      let key = t.task_res.key in
+      match Hashtbl.find_opt p.answered key with
+      | None -> ()
+      | Some (source, outcome) ->
+        let event =
+          match source with
+          | Store_hit ->
+            incr store_hits;
+            "job.store_hit"
+          | Checkpoint_hit ->
+            incr checkpoint_hits;
+            (* a resumed outcome is as good as a computed one: persist
+               it to the warm store too *)
+            Option.iter (fun st -> persist st key outcome) store;
+            "job.checkpoint_hit"
+        in
+        Events.with_scope ~job_id:t.task_id (fun () ->
+            Events.info event ~fields:[ ("digest", Json.String key) ]))
+    p.unique;
+  let to_compute = p.to_compute in
   Metrics.set queue_depth_g (float_of_int (Array.length to_compute));
-  let computed = execute ~batch_id to_compute in
+  (* called from whichever domain or thread saw the result land, so a
+     kill between here and the executor's barrier loses nothing already
+     paid for *)
+  let on_result t c =
+    match checkpoint with
+    | Some ck when cacheable c.comp_outcome ->
+      persist ck t.task_res.key c.comp_outcome;
+      Metrics.incr checkpoint_writes_c
+    | _ -> ()
+  in
+  let computed = execute ~batch_id ~on_result to_compute in
   if Array.length computed <> Array.length to_compute then
     invalid_arg
       (Printf.sprintf "Service executor returned %d results for %d tasks"
@@ -425,78 +509,44 @@ let run_batch_via ?store ?checkpoint ?batch_id ~execute jobs =
   Metrics.set queue_depth_g 0.0;
   Metrics.set in_flight_g 0.0;
   (* post-batch bookkeeping, main domain only: histograms, store writes *)
-  let by_key : (string, computed) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun key outcome ->
-      (* seeded as zero-cost computations: no latency/attempts samples
-         (nothing ran), and the row path below reports them cache-cold *)
-      Hashtbl.replace by_key key
-        {
-          comp_outcome = outcome;
-          comp_attempts = 0;
-          comp_latency_s = 0.0;
-          comp_wall_ns = 0L;
-          comp_alloc_bytes = 0.0;
-        })
-    from_ckpt;
+  let by_key : (string, Job.outcome) Hashtbl.t = Hashtbl.create 16 in
   Array.iteri
     (fun i c ->
+      let key = to_compute.(i).task_res.key in
       Metrics.observe latency_h c.comp_latency_s;
       Metrics.observe attempts_h (float_of_int c.comp_attempts);
       Metrics.observe wall_ns_h (Int64.to_float c.comp_wall_ns);
       Metrics.observe alloc_bytes_h c.comp_alloc_bytes;
-      (match store with
-      | Some st -> (
-        match Job.outcome_to_store_json c.comp_outcome with
-        | Some doc -> Store.put st to_compute.(i).task_res.key doc
-        | None -> ())
-      | None -> ());
-      Hashtbl.replace by_key to_compute.(i).task_res.key c)
+      Option.iter (fun st -> persist st key c.comp_outcome) store;
+      Hashtbl.replace by_key key c.comp_outcome)
     computed;
-  (* emit rows in job order *)
   let rows =
-  List.mapi
-    (fun i (job : Job.t) ->
-      let job_id = job_id_at i in
-      let digest, cache_hit, outcome =
-        match resolved.(i) with
-        | Error msg -> ("", false, Job.Failed { error = msg; attempts = 0 })
-        | Ok r -> (
-          match Hashtbl.find_opt from_store r.key with
-          | Some outcome -> (r.key, true, outcome)
-          | None ->
-            let c = Hashtbl.find by_key r.key in
-            let duplicate = Hashtbl.find first_index r.key <> i in
-            (r.key, duplicate && cacheable c.comp_outcome, c.comp_outcome))
-      in
-      Metrics.incr (if cache_hit then cache_hits_c else cache_misses_c);
+    rows_of_plan p ~outcome_of:(fun key ->
+        match answered_outcome p key with
+        | Some _ as o -> o
+        | None -> Hashtbl.find_opt by_key key)
+  in
+  List.iter
+    (fun (row : Job.row) ->
+      Metrics.incr (if row.Job.cache_hit then cache_hits_c else cache_misses_c);
       Metrics.incr
-        (match outcome with
+        (match row.Job.outcome with
         | Job.Solved _ -> solved_c
         | Job.Infeasible -> infeasible_c
-        | Job.Failed _ -> failed_c);
-      {
-        Job.job_id;
-        row_circuit = job.Job.circuit;
-        row_optimizer = job.Job.optimizer;
-        digest;
-        cache_hit;
-        outcome;
-      })
-    (Array.to_list jobs)
-  in
+        | Job.Failed _ -> failed_c))
+    rows;
   Events.info "batch.done"
     ~fields:
       [
         ("rows", Json.Int (List.length rows));
         ("computed", Json.Int (Array.length computed));
-        ("store_hits", Json.Int (Hashtbl.length from_store));
-        ("checkpoint_hits", Json.Int (Hashtbl.length from_ckpt));
+        ("store_hits", Json.Int !store_hits);
+        ("checkpoint_hits", Json.Int !checkpoint_hits);
       ];
   rows
 
 (* The default executor: the in-process domain pool. *)
-let in_process_execute ?checkpoint ~batch_id tasks =
+let in_process_execute ~batch_id ~on_result tasks =
   Metrics.set in_flight_g
     (float_of_int (min (Par.jobs ()) (Array.length tasks)));
   Par.map ~site:"service"
@@ -504,64 +554,23 @@ let in_process_execute ?checkpoint ~batch_id tasks =
       (* worker-side: the enclosing batch scope is domain-local, so the
          chain is re-established inside the task closure *)
       let c = compute_task ~batch_id t in
-      (* the moment the job completes: a kill between here and the pool
-         barrier loses nothing already paid for *)
-      (match checkpoint with
-      | Some ck -> Checkpoint.record ck t.task_res.key c.comp_outcome
-      | None -> ());
+      on_result t c;
       c)
     tasks
 
 let run_batch ?store ?checkpoint ?batch_id jobs =
-  run_batch_via ?store ?checkpoint ?batch_id
-    ~execute:(in_process_execute ?checkpoint)
-    jobs
+  run_batch_via ?store ?checkpoint ?batch_id ~execute:in_process_execute jobs
 
 (* The rows of a batch that are already answerable without computing
-   anything: resolution failures, store hits, checkpoint hits. This is
-   the signal-handler path — an interrupted [minpower batch --checkpoint]
-   emits these as its partial result, in job order, silently skipping
-   jobs whose outcome is not on disk yet. Flags match [run_batch]: a
-   store hit reads as a cache hit, a checkpoint hit as a cold compute.
+   anything: resolution failures, store hits, checkpoint hits, and
+   repeats of those. This is the signal-handler path — an interrupted
+   [minpower batch --checkpoint] emits these as its partial result, in
+   job order, silently skipping jobs whose outcome is not on disk yet.
    Deliberately touches no batch counters/gauges — only the checkpoint
    and store read-side counters fire. *)
 let partial_rows ?store ?checkpoint jobs =
-  List.filter_map Fun.id
-    (List.mapi
-       (fun i (job : Job.t) ->
-         let job_id =
-           match job.Job.id with
-           | Some id -> id
-           | None -> Printf.sprintf "job%d" i
-         in
-         let row ~digest ~cache_hit outcome =
-           Some
-             {
-               Job.job_id;
-               row_circuit = job.Job.circuit;
-               row_optimizer = job.Job.optimizer;
-               digest;
-               cache_hit;
-               outcome;
-             }
-         in
-         match resolve_job job with
-         | Error msg ->
-           row ~digest:"" ~cache_hit:false
-             (Job.Failed { error = msg; attempts = 0 })
-         | Ok r -> (
-           let from_store =
-             match store with
-             | Some st -> Option.bind (Store.find st r.key) outcome_of_store
-             | None -> None
-           in
-           match from_store with
-           | Some outcome -> row ~digest:r.key ~cache_hit:true outcome
-           | None -> (
-             match Option.bind checkpoint (fun ck -> Checkpoint.find ck r.key) with
-             | Some outcome -> row ~digest:r.key ~cache_hit:false outcome
-             | None -> None)))
-       jobs)
+  let p = plan ?store ?checkpoint jobs in
+  rows_of_plan p ~outcome_of:(answered_outcome p)
 
 let failed_line_row ~line_no error =
   {

@@ -49,13 +49,14 @@ val resolve_circuit :
 (** {1 Pluggable execution}
 
     {!run_batch_via} is the batch pipeline with the compute step
-    abstracted out: resolution, dedup, store/checkpoint lookups and row
-    assembly happen on the calling domain, and [execute] turns the
-    deduped {!task} array into one {!computed} per task (same order) by
-    any means — the in-process domain pool ({!run_batch}'s default) or
-    the multi-process fleet ({!Fleet}). Rows depend only on the outcomes
-    [execute] returns, never on how it scheduled them: that is the
-    byte-identity invariant across the [--jobs] and [--workers] paths. *)
+    abstracted out: resolution, dedup, store/checkpoint lookups,
+    checkpoint writes and row assembly happen in the pipeline, and
+    [execute] turns the deduped {!task} array into one {!computed} per
+    task (same order) by any means — the in-process domain pool
+    ({!run_batch}'s default) or the multi-process fleet ({!Fleet}). Rows
+    depend only on the outcomes [execute] returns, never on how it
+    scheduled them: that is the byte-identity invariant across the
+    [--jobs] and [--workers] paths. *)
 
 type task
 (** One distinct computation of a batch: the first occurrence of its
@@ -86,28 +87,34 @@ type computed = {
 
 val compute_task : batch_id:int -> task -> computed
 (** Run one task on the calling domain, isolated exactly as the pool
-    path: per-attempt deadline, bounded retry, any exception folded
+    path: per-attempt deadline on the monotonic clock (a wall-clock
+    step never times a job out), bounded retry, any exception folded
     into a [Failed] outcome. Establishes the [batch_id]/[job_id] event
     scope itself, so executors may call it from any domain (or as a
     local fallback when no worker can take the task). *)
 
 val run_batch_via :
   ?store:Store.t ->
-  ?checkpoint:Checkpoint.t ->
+  ?checkpoint:Store.t ->
   ?batch_id:int ->
-  execute:(batch_id:int -> task array -> computed array) ->
+  execute:
+    (batch_id:int ->
+    on_result:(task -> computed -> unit) ->
+    task array ->
+    computed array) ->
   Job.t list ->
   Job.row list
 (** {!run_batch} with the compute step supplied by [execute] (which
     must return exactly one {!computed} per task, in task order —
     anything else raises [Invalid_argument]). [batch_id] defaults to a
-    fresh id from the process-wide batch sequence. [execute] is
-    responsible for checkpoint recording as results land (the pipeline
-    only {e reads} the checkpoint up front). *)
+    fresh id from the process-wide batch sequence. [execute] calls
+    [on_result] once per task, as soon as that task's result is in hand
+    (from any domain or thread, never twice for one task): that call is
+    what records the outcome in the checkpoint. *)
 
 val run_batch :
   ?store:Store.t ->
-  ?checkpoint:Checkpoint.t ->
+  ?checkpoint:Store.t ->
   ?batch_id:int ->
   Job.t list ->
   Job.row list
@@ -115,21 +122,30 @@ val run_batch :
     [store], solved/infeasible outcomes are served from and persisted to
     it. Never raises on job-level problems.
 
-    With a [checkpoint], every completed job's outcome is additionally
-    recorded there {e from the worker, as it finishes} — and jobs whose
-    outcome is already in the checkpoint skip computation entirely. A
-    checkpoint hit is reported with [cache_hit = false] (and fed into
-    the store when one is given), so resuming an interrupted batch with
-    the same checkpoint directory yields byte-identical rows to an
-    uninterrupted run. Store hits are preferred over checkpoint hits. *)
+    A [checkpoint] is a second {!Store}, in its own directory, written
+    with a different discipline: every solved/infeasible outcome is
+    recorded there {e the moment its job finishes} — not at the batch
+    barrier — so a batch killed mid-run (SIGKILL included) loses at
+    most the jobs still in flight. Jobs whose outcome is already in the
+    checkpoint skip computation entirely (counted under
+    [service.checkpoint.hits]; writes under [service.checkpoint.writes])
+    and the outcome is fed into the store when one is given. A
+    checkpoint hit is reported with [cache_hit = false] (repeats of it
+    with [true], as for any repeated job), so resuming an interrupted
+    batch with the same checkpoint directory yields byte-identical rows
+    to an uninterrupted run. Store hits are preferred over checkpoint
+    hits. *)
 
 val partial_rows :
-  ?store:Store.t -> ?checkpoint:Checkpoint.t -> Job.t list -> Job.row list
+  ?store:Store.t -> ?checkpoint:Store.t -> Job.t list -> Job.row list
 (** The subset of {!run_batch}'s rows already answerable without running
-    any optimizer: resolution failures, store hits and checkpoint hits,
-    in job order, other jobs silently omitted. This is the interrupt
-    path — [minpower batch]'s SIGINT/SIGTERM handler emits these as the
-    partial result of a killed run. Touches no batch counters. *)
+    any optimizer: resolution failures, store hits, checkpoint hits and
+    repeats of those, in job order, other jobs silently omitted. Lookups
+    and [cache_hit] flags come from the same code as {!run_batch}'s, so
+    every row here equals the one {!run_batch} would produce. This is
+    the interrupt path — [minpower batch]'s SIGINT/SIGTERM handler emits
+    these as the partial result of a killed run. Touches no batch
+    counters. *)
 
 val serve :
   ?store:Store.t ->

@@ -11,7 +11,13 @@
     Values are one JSON document per entry ([<digest>.json] in the store
     directory), written atomically (temp file + rename), so a killed
     batch never leaves a corrupt entry; unreadable or unparsable entries
-    read back as misses. *)
+    read back as misses.
+
+    A batch checkpoint ([minpower batch --checkpoint DIR]) is a store
+    too, opened on its own directory: same keys, same atomic writes,
+    same value documents. Only the write discipline differs — the
+    service records each job's outcome there as the job finishes,
+    instead of at the batch barrier ({!Service.run_batch}). *)
 
 type t
 
@@ -61,7 +67,7 @@ val put : t -> string -> Dcopt_util.Json.t -> unit
     is caught by {!find} at read-back) here. *)
 
 val note_corrupt : unit -> unit
-(** Bump the [service.store.corrupt] counter. For callers ({!Checkpoint},
-    the service) that decode a stored document further and find it
-    shape-invalid — the same "existed but unusable" condition {!find}
-    counts for unreadable files. *)
+(** Bump the [service.store.corrupt] counter. For callers (the service)
+    that decode a stored document further and find it shape-invalid —
+    the same "existed but unusable" condition {!find} counts for
+    unreadable files. *)

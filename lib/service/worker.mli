@@ -26,9 +26,10 @@
     ({!Faults.arm_from_env}) and sets its role to the worker id, then
     exposes the [worker.job] (before computing) and [worker.result]
     (before replying) seams for [stall]/[exit]/[kill], and sends every
-    frame through {!Wire.send} sites. The older
-    [DCOPT_FLEET_CHAOS_KILL="<worker_id>:<nth>"] hook (SIGKILL in place
-    of the nth result) is kept for compatibility. *)
+    frame through {!Wire.send} sites. A deterministic crash drill is a
+    plan entry such as [w1/worker.result@2:kill]: worker [w1] SIGKILLs
+    itself in place of sending its second result (counted per worker
+    process, so a respawned [w1] starts over). *)
 
 val run :
   ?store:Store.t ->

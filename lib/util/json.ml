@@ -337,14 +337,6 @@ let get_obj = function Obj m -> Some m | _ -> None
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
 
-let write_file path json =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string json));
-  Sys.rename tmp path
-
 let read_file path =
   match
     let ic = open_in_bin path in

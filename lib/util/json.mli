@@ -41,17 +41,9 @@ val of_string_exn : string -> t
 val float_lit : float -> string
 (** The literal {!to_string} uses for a float (exposed for tests). *)
 
-val write_file : string -> t -> unit
-(** Atomic write: renders with {!to_string} into [path ^ ".tmp"] and
-    renames over [path], so a crash mid-write never leaves a truncated
-    document — readers see the old version or the new one, whole. Assumes
-    one writer per path at a time (checkpoint files qualify). Raises
-    [Sys_error] on I/O failure. *)
-
 val read_file : string -> (t, string) result
-(** Reads and parses a file written by {!write_file}; unreadable files
-    and parse failures are [Error] (message includes the path), never an
-    exception. *)
+(** Reads and parses a JSON file; unreadable files and parse failures
+    are [Error] (message includes the path), never an exception. *)
 
 (** {1 Accessors} — shape probes returning [None] on mismatch. *)
 

@@ -1,11 +1,12 @@
 (* End-to-end smoke for the multi-process fleet: the same 64-job batch
-   through the in-process path, a 1-worker fleet, a 4-worker fleet, and
-   a 3-worker fleet where one worker SIGKILLs itself mid-batch (the
-   DCOPT_FLEET_CHAOS_KILL hook makes the crash deterministic: the job is
+   through the in-process path, a 1-worker fleet, a 4-worker fleet, a
+   3-worker fleet where one worker SIGKILLs itself mid-batch (the fault
+   plan w1/worker.result@2:kill makes the crash deterministic: the job is
    fully computed, the result frame is never sent — the harshest loss
-   the coordinator can take). Every run must produce byte-identical
-   result rows, and the crash run must show the recovery machinery
-   firing in its OpenMetrics exposition.
+   the coordinator can take), and a 2-worker fleet writing a checkpoint
+   directory that an in-process run then resumes from. Every run must
+   produce byte-identical result rows, and the crash run must show the
+   recovery machinery firing in its OpenMetrics exposition.
 
    argv.(1) is the minpower binary (the dune rule passes
    %{exe:../bin/minpower.exe}). *)
@@ -17,20 +18,23 @@ let fail fmt =
 
 let jobs_path = "fleet_smoke_jobs.jsonl"
 
-(* 64 jobs: 56 distinct operating points plus 8 repeats, so the fleet
-   path is exercised against within-batch dedup too (duplicates must
-   read as cache hits whatever worker computed the first occurrence) *)
+(* 64 jobs over 56 clock frequencies; jobs 58 and 61 repeat jobs 2 and
+   5 exactly, so the fleet path is exercised against within-batch dedup
+   too (duplicates must read as cache hits whatever worker computed the
+   first occurrence). Returns the number of distinct jobs. *)
 let write_jobs () =
   let oc = open_out jobs_path in
+  let specs = Hashtbl.create 64 in
   for i = 0 to 63 do
     let fc = 150 + (i mod 56) in
+    let optimizer = if i mod 3 = 0 then "baseline" else "joint" in
+    Hashtbl.replace specs (fc, optimizer) ();
     Printf.fprintf oc
       "{\"id\":\"j%02d\",\"circuit\":\"s27\",\"optimizer\":\"%s\",\"config\":{\"clock_frequency\":%de6}}\n"
-      i
-      (if i mod 3 = 0 then "baseline" else "joint")
-      fc
+      i optimizer fc
   done;
-  close_out oc
+  close_out oc;
+  Hashtbl.length specs
 
 (* run `minpower batch` with extra args; return the JSONL rows (stdout
    lines that are JSON objects — Logs lines like the OpenMetrics notice
@@ -83,6 +87,16 @@ let metric_value om_path name =
   close_in ic;
   v
 
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 let check_identical ~tag a b =
   if List.length a <> List.length b then
     fail "%s: %d rows vs %d" tag (List.length a) (List.length b);
@@ -93,7 +107,7 @@ let check_identical ~tag a b =
 
 let () =
   ignore (Unix.alarm 300);
-  write_jobs ();
+  let unique = write_jobs () in
   let baseline = run_batch ~tag:"inproc" [] in
   if List.length baseline <> 64 then
     fail "expected 64 rows, got %d" (List.length baseline);
@@ -107,12 +121,12 @@ let () =
   let om = "fleet_smoke_chaos.om" in
   let chaos =
     run_batch ~tag:"chaos"
-      ~env:[ "DCOPT_FLEET_CHAOS_KILL=w1:2" ]
+      ~env:[ "DCOPT_FAULT_PLAN=w1/worker.result@2:kill" ]
       [ "--workers"; "3"; "--open-metrics"; om ]
   in
   check_identical ~tag:"in-process vs crashed fleet" baseline chaos;
-  (* w1 is respawned mid-batch under the same id and the chaos hook kills
-     the replacement too (a fresh process, fresh result count), so the
+  (* w1 is respawned mid-batch under the same id and the plan kills the
+     replacement too (a fresh process, fresh occurrence count), so the
      exact loss/spawn totals depend on scheduling: at least one loss, at
      least the initial 3 spawns, and never more deaths than the
      quarantine budget (2) allows for w1 *)
@@ -125,7 +139,35 @@ let () =
      least one requeue is guaranteed *)
   if metric_value om "service_fleet_requeued_total" < 1.0 then
     fail "worker loss did not requeue anything";
+  (* checkpoint leg: the fleet records one entry per unique job as
+     results land, and an in-process run resumes every one of them *)
+  let ckpt = "fleet_smoke_ckpt" in
+  remove_tree ckpt;
+  let fleet_ckpt =
+    run_batch ~tag:"ckpt_fleet" [ "--workers"; "2"; "--checkpoint"; ckpt ]
+  in
+  check_identical ~tag:"in-process vs checkpointing fleet" baseline
+    fleet_ckpt;
+  let entries =
+    List.length
+      (List.filter
+         (fun f -> Filename.check_suffix f ".json")
+         (Array.to_list (Sys.readdir ckpt)))
+  in
+  if entries <> unique then
+    fail "expected %d checkpoint entries (one per unique job), saw %d" unique
+      entries;
+  let om = "fleet_smoke_resume.om" in
+  let resumed =
+    run_batch ~tag:"ckpt_resume"
+      [ "--checkpoint"; ckpt; "--open-metrics"; om ]
+  in
+  check_identical ~tag:"in-process vs resumed from fleet checkpoint" baseline
+    resumed;
+  let hits = metric_value om "service_checkpoint_hits_total" in
+  if hits <> float_of_int unique then
+    fail "expected %d checkpoint hits on resume, saw %g" unique hits;
   print_endline
     "fleet smoke: 64-job rows byte-identical across in-process, 1-worker, \
-     4-worker and SIGKILL-crashed 3-worker runs; loss and requeue \
-     counters fired"
+     4-worker, SIGKILL-crashed 3-worker and checkpoint-resumed runs; loss \
+     and requeue counters fired"

@@ -8,7 +8,7 @@ module Events = Dcopt_obs.Events
 module Metrics = Dcopt_obs.Metrics
 module Service = Dcopt_service.Service
 module Job = Dcopt_service.Job
-module Checkpoint = Dcopt_service.Checkpoint
+module Store = Dcopt_service.Store
 module Optimizer = Dcopt_core.Optimizer
 module Flow = Dcopt_core.Flow
 module Guard = Dcopt_opt.Guard
@@ -157,7 +157,7 @@ let test_batch_correlation_chain () =
   let path1 = temp_path "batch" in
   let rows1 =
     with_sink ~min_level:Events.Debug path1 (fun () ->
-        Service.run_batch ~checkpoint:(Checkpoint.open_ ckpt_dir) [ job () ])
+        Service.run_batch ~checkpoint:(Store.open_ ckpt_dir) [ job () ])
   in
   let evs = read_events path1 in
   (* every event of the batch carries the full chain *)
@@ -204,7 +204,7 @@ let test_batch_correlation_chain () =
   let path2 = temp_path "resume" in
   let rows2 =
     with_sink ~min_level:Events.Debug path2 (fun () ->
-        Service.run_batch ~checkpoint:(Checkpoint.open_ ckpt_dir) [ job () ])
+        Service.run_batch ~checkpoint:(Store.open_ ckpt_dir) [ job () ])
   in
   let evs2 = read_events path2 in
   let hit = find_one "job.checkpoint_hit" evs2 in

@@ -6,7 +6,7 @@
    chunking (--jobs N byte-identical to --jobs 1). These tests hold it
    to that promise across the whole ISCAS suite and seeded random DAGs
    at 1k and 10k gates, do the same for the flat power sweeps
-   (Power_model.evaluate_par vs evaluate_seq), drive the incremental
+   (Power_model.evaluate at ~jobs:4 vs ~jobs:1), drive the incremental
    engine through a 200-move transaction/rollback sequence on a
    generated DAG, and check that an analysis leaves the sta.level.* /
    flat.alloc_bytes metrics populated. *)
@@ -114,7 +114,7 @@ let check_evaluation_bits what (a : Power_model.evaluation)
 (* The parallel power sweep carries the same determinism contract as the
    timing sweeps: chunking only partitions the gate index space, and the
    totals are folded sequentially afterwards. *)
-let test_evaluate_par_differential () =
+let test_evaluate_jobs_differential () =
   List.iter
     (fun (what, gates) ->
       let env = make_env (generated 21L gates) in
@@ -123,13 +123,11 @@ let test_evaluate_par_differential () =
           ~vt:(0.5 *. (tech.Tech.vt_min +. tech.Tech.vt_max))
           ~w:4.0
       in
-      let seq = Power_model.evaluate_seq env design in
-      let p1 = Power_model.evaluate_par ~jobs:1 env design in
-      let p4 =
-        Power_model.evaluate_par ~jobs:4 ~min_par_width:1 env design
-      in
-      check_evaluation_bits (what ^ " par jobs:1 vs seq") seq p1;
-      check_evaluation_bits (what ^ " par jobs:4 vs seq") seq p4)
+      let seq = Power_model.evaluate ~jobs:1 env design in
+      let auto = Power_model.evaluate env design in
+      let p4 = Power_model.evaluate ~jobs:4 ~min_par_width:1 env design in
+      check_evaluation_bits (what ^ " default vs jobs:1") seq auto;
+      check_evaluation_bits (what ^ " jobs:4 vs jobs:1") seq p4)
     [ ("pm-1k", 1_000); ("pm-10k", 10_000) ]
 
 let check_rel what reference fast =
@@ -234,8 +232,8 @@ let () =
             test_suite_differential;
           Alcotest.test_case "random DAGs 1k/10k: flat == pointer" `Quick
             test_random_dag_differential;
-          Alcotest.test_case "evaluate_par == evaluate_seq" `Quick
-            test_evaluate_par_differential;
+          Alcotest.test_case "evaluate jobs:4 == jobs:1" `Quick
+            test_evaluate_jobs_differential;
           Alcotest.test_case "incremental engine on generated DAG" `Quick
             test_incr_on_generated_dag;
           Alcotest.test_case "forward_into validates array lengths" `Quick

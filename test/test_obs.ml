@@ -4,7 +4,7 @@
 
 module Metrics = Dcopt_obs.Metrics
 module Span = Dcopt_obs.Span
-module Clock = Dcopt_obs.Clock
+module Clock = Dcopt_util.Clock
 module Telemetry = Dcopt_obs.Telemetry
 module Bench_gate = Dcopt_obs.Bench_gate
 module Par = Dcopt_par.Par
@@ -116,11 +116,26 @@ let test_metrics_render_and_json () =
   Metrics.incr ~by:3 c;
   let h = Metrics.histogram "test.render.histogram" in
   List.iter (Metrics.observe h) [ 1.0; 2.0; 4.0 ];
+  ignore (Metrics.counter "test.render.zero");
+  ignore (Metrics.gauge "test.render.zero_gauge");
+  ignore (Metrics.histogram "test.render.empty");
   let table = Metrics.render () in
   Alcotest.(check bool) "counter row present" true
     (contains ~needle:"test.render.counter" table);
   Alcotest.(check bool) "histogram row present" true
     (contains ~needle:"test.render.histogram" table);
+  (* the human table hides series that never moved; the machine
+     outputs keep every series *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " hidden from the table") false
+        (contains ~needle:name table))
+    [ "test.render.zero"; "test.render.zero_gauge"; "test.render.empty" ];
+  Alcotest.(check bool) "zero counter in json lines" true
+    (contains ~needle:"\"test.render.zero\"" (Metrics.to_json_lines ()));
+  Alcotest.(check bool) "zero counter in openmetrics" true
+    (contains ~needle:"test_render_zero_total 0"
+       (Metrics.render_openmetrics ()));
   let lines = String.split_on_char '\n' (Metrics.to_json_lines ()) in
   Alcotest.(check bool) "one json line per metric" true
     (List.length (List.filter (fun l -> l <> "") lines)

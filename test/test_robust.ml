@@ -7,16 +7,13 @@ module Tech_io = Dcopt_device.Tech_io
 module Flow = Dcopt_core.Flow
 module Diag = Dcopt_util.Diag
 module Json = Dcopt_util.Json
-module Prng = Dcopt_util.Prng
 module Guard = Dcopt_opt.Guard
 module Power_model = Dcopt_opt.Power_model
-module Annealing = Dcopt_opt.Annealing
 module Solution = Dcopt_opt.Solution
 module Suite = Dcopt_suite.Suite
 module Service = Dcopt_service.Service
 module Job = Dcopt_service.Job
 module Store = Dcopt_service.Store
-module Checkpoint = Dcopt_service.Checkpoint
 module Metrics = Dcopt_obs.Metrics
 
 (* module-level handles to the counters the robustness layer bumps
@@ -274,21 +271,25 @@ let test_store_corruption_is_a_counted_miss () =
     (Metrics.value corrupt_c)
 
 (* a checkpoint entry that parses as JSON but not as an outcome is
-   corrupt too *)
+   corrupt too: a counted miss, and the job recomputes *)
 let test_checkpoint_shape_corruption () =
-  let ck = Checkpoint.open_ (fresh_dir "robust_ckpt_shape") in
-  let key = "feedfacefeedfacefeedfacefeedface" in
-  Checkpoint.record ck key Job.Infeasible;
-  Alcotest.(check bool) "intact entry decodes" true
-    (Checkpoint.find ck key = Some Job.Infeasible);
+  let dir = fresh_dir "robust_ckpt_shape" in
+  let ck = Store.open_ dir in
+  let jobs = [ Job.make ~id:"a" ~optimizer:"baseline" "s27" ] in
+  let first = Service.run_batch ~checkpoint:ck jobs in
+  Alcotest.(check string) "intact entry answers" (rows_to_string first)
+    (rows_to_string (Service.partial_rows ~checkpoint:ck jobs));
+  let key = (List.hd first).Job.digest in
   write_file
-    (Filename.concat (Checkpoint.dir ck) (key ^ ".json"))
+    (Filename.concat dir (key ^ ".json"))
     "{\"version\":1,\"status\":\"no-such-status\"}";
   let before = Metrics.value corrupt_c in
-  Alcotest.(check bool) "shape-invalid entry misses" true
-    (Checkpoint.find ck key = None);
+  Alcotest.(check int) "shape-invalid entry misses" 0
+    (List.length (Service.partial_rows ~checkpoint:ck jobs));
   Alcotest.(check bool) "shape corruption counted" true
-    (Metrics.value corrupt_c > before)
+    (Metrics.value corrupt_c > before);
+  Alcotest.(check string) "the job recomputes" (rows_to_string first)
+    (rows_to_string (Service.run_batch ~checkpoint:ck jobs))
 
 (* --- batch checkpoint resume ------------------------------------------ *)
 
@@ -298,14 +299,19 @@ let test_batch_checkpoint_resume_identical () =
       Job.make ~id:"a" ~optimizer:"baseline" "s27";
       Job.make ~id:"b" ~optimizer:"joint" "s27";
       Job.make ~id:"bad" "no_such_circuit";
+      (* a repeat of [a]: a cache hit in every path *)
+      Job.make ~id:"a2" ~optimizer:"baseline" "s27";
     ]
   in
   let dir = fresh_dir "robust_batch_ckpt" in
   let cold = Service.run_batch jobs in
-  let ck = Checkpoint.open_ dir in
+  let ck = Store.open_ dir in
   let first = Service.run_batch ~checkpoint:ck jobs in
   Alcotest.(check string) "checkpointed run matches a plain run"
     (rows_to_string cold) (rows_to_string first);
+  Alcotest.(check (list bool)) "only the repeat reads as a cache hit"
+    [ false; false; false; true ]
+    (List.map (fun r -> r.Job.cache_hit) first);
   (* everything computable is now on disk: a partial emission recovers
      the full row set, and a resumed batch is byte-identical *)
   Alcotest.(check string) "partial rows recover every answerable row"
@@ -315,64 +321,100 @@ let test_batch_checkpoint_resume_identical () =
   Alcotest.(check string) "resume is byte-identical" (rows_to_string first)
     (rows_to_string resumed)
 
-(* --- annealing per-pass checkpoints ----------------------------------- *)
+let checkpoint_hits_c = Metrics.counter "service.checkpoint.hits"
+let checkpoint_writes_c = Metrics.counter "service.checkpoint.writes"
 
-let test_annealing_checkpoint_resume () =
-  let p = Flow.prepare (Suite.s27 ()) in
-  let budgets = Flow.budgets p in
-  let dir = fresh_dir "robust_anneal_ckpt" in
-  let options =
-    { Annealing.default_options with
-      passes = 2;
-      moves_per_pass = 200;
-      checkpoint = Some dir;
-    }
+let entries dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort compare
+
+(* An annealing job is crash-safe as a whole through the batch
+   checkpoint: a batch killed after the annealing job landed but before
+   its sibling did keeps the annealing row, and the resume recomputes
+   only the sibling. *)
+let test_interrupted_annealing_batch_resumes () =
+  let jobs =
+    [
+      Job.make ~id:"anneal" ~optimizer:"annealing" "s27";
+      Job.make ~id:"base" ~optimizer:"baseline" "s27";
+    ]
   in
-  let sol_to_string = function
-    | None -> "none"
-    | Some s -> Json.to_string (Solution.to_json s)
-  in
-  let plain =
-    Annealing.optimize p.Flow.env ~budgets
-      ~options:{ options with checkpoint = None }
-  in
-  let first = Annealing.optimize p.Flow.env ~budgets ~options in
+  let dir = fresh_dir "robust_anneal_batch_ckpt" in
+  let plain = Service.run_batch jobs in
+  let ck = Store.open_ dir in
+  let first = Service.run_batch ~checkpoint:ck jobs in
   Alcotest.(check string) "checkpointing changes nothing"
-    (sol_to_string plain) (sol_to_string first);
-  Alcotest.(check bool) "pass files written" true
-    (Sys.file_exists (Filename.concat dir "pass0.json")
-    && Sys.file_exists (Filename.concat dir "pass1.json"));
-  let resumed = Annealing.optimize p.Flow.env ~budgets ~options in
-  Alcotest.(check string) "resume reproduces the result"
-    (sol_to_string first) (sol_to_string resumed);
-  (* a corrupt pass file is ignored and the pass recomputed *)
-  write_file (Filename.concat dir "pass0.json") "{ not json";
-  let recovered = Annealing.optimize p.Flow.env ~budgets ~options in
-  Alcotest.(check string) "corrupt pass file recomputes"
-    (sol_to_string first) (sol_to_string recovered);
-  (* a stale identity (different seed) never leaks in *)
-  let other_seed =
-    Annealing.optimize p.Flow.env ~budgets
-      ~options:{ options with seed = 0xBADL }
+    (rows_to_string plain) (rows_to_string first);
+  let anneal_row, base_row =
+    match first with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "expected two rows"
   in
-  let replayed = Annealing.optimize p.Flow.env ~budgets ~options in
-  ignore other_seed;
-  Alcotest.(check string) "stale checkpoints don't leak across seeds"
-    (sol_to_string first) (sol_to_string replayed)
+  Alcotest.(check (list string)) "one entry per job"
+    (List.sort compare
+       [ anneal_row.Job.digest ^ ".json"; base_row.Job.digest ^ ".json" ])
+    (entries dir);
+  (* the state a kill between the two results leaves behind *)
+  Sys.remove (Filename.concat dir (base_row.Job.digest ^ ".json"));
+  Alcotest.(check string) "partial rows keep the annealing row"
+    (rows_to_string [ anneal_row ])
+    (rows_to_string (Service.partial_rows ~checkpoint:ck jobs));
+  let hits = Metrics.value checkpoint_hits_c in
+  let writes = Metrics.value checkpoint_writes_c in
+  let resumed = Service.run_batch ~checkpoint:ck jobs in
+  Alcotest.(check string) "resume is byte-identical" (rows_to_string plain)
+    (rows_to_string resumed);
+  Alcotest.(check int) "annealing row resumed" 1
+    (Metrics.value checkpoint_hits_c - hits);
+  Alcotest.(check int) "only the sibling recomputed" 1
+    (Metrics.value checkpoint_writes_c - writes)
 
-(* --- PRNG state round-trip (what the checkpoints persist) ------------- *)
-
-let test_prng_state_roundtrip () =
-  let r = Prng.create 42L in
-  for _ = 1 to 10 do
-    ignore (Prng.bits64 r)
-  done;
-  let r' = Prng.of_state (Prng.state r) in
-  for i = 1 to 10 do
-    Alcotest.(check int64)
-      (Printf.sprintf "draw %d" i)
-      (Prng.bits64 r) (Prng.bits64 r')
-  done
+(* A failed job leaves nothing in the checkpoint: the resume runs it
+   again, while its solved sibling (and that sibling's repeat) come back
+   from disk. *)
+let test_failed_job_not_checkpointed () =
+  let calls = Atomic.make 0 in
+  Dcopt_core.Optimizer.register
+    {
+      Dcopt_core.Optimizer.name = "test-robust-broken";
+      doc = "always raises";
+      run =
+        (fun ?observer:_ _ ->
+          Atomic.incr calls;
+          failwith "always broken");
+    };
+  let jobs =
+    [
+      Job.make ~id:"broken" ~optimizer:"test-robust-broken" ~retries:0 "s27";
+      Job.make ~id:"base" ~optimizer:"baseline" "s27";
+      Job.make ~id:"base2" ~optimizer:"baseline" "s27";
+    ]
+  in
+  let dir = fresh_dir "robust_failed_ckpt" in
+  let ck = Store.open_ dir in
+  let writes = Metrics.value checkpoint_writes_c in
+  let first = Service.run_batch ~checkpoint:ck jobs in
+  let broken_row, base_rows =
+    match first with
+    | b :: rest -> (b, rest)
+    | [] -> Alcotest.fail "expected three rows"
+  in
+  (match broken_row.Job.outcome with
+  | Job.Failed _ -> ()
+  | _ -> Alcotest.fail "the broken job should fail");
+  Alcotest.(check int) "one write: the solved job, once" 1
+    (Metrics.value checkpoint_writes_c - writes);
+  Alcotest.(check int) "one entry on disk" 1 (List.length (entries dir));
+  Alcotest.(check string) "partial rows skip the failed job"
+    (rows_to_string base_rows)
+    (rows_to_string (Service.partial_rows ~checkpoint:ck jobs));
+  let calls_before = Atomic.get calls in
+  let resumed = Service.run_batch ~checkpoint:ck jobs in
+  Alcotest.(check int) "the failed job runs again" 1
+    (Atomic.get calls - calls_before);
+  Alcotest.(check string) "resume is byte-identical" (rows_to_string first)
+    (rows_to_string resumed)
 
 let () =
   Alcotest.run "robust"
@@ -412,9 +454,9 @@ let () =
             test_checkpoint_shape_corruption;
           Alcotest.test_case "batch checkpoint resume" `Quick
             test_batch_checkpoint_resume_identical;
-          Alcotest.test_case "annealing checkpoint resume" `Quick
-            test_annealing_checkpoint_resume;
-          Alcotest.test_case "prng state round-trip" `Quick
-            test_prng_state_roundtrip;
+          Alcotest.test_case "interrupted annealing batch resumes" `Quick
+            test_interrupted_annealing_batch_resumes;
+          Alcotest.test_case "failed job is not checkpointed" `Quick
+            test_failed_job_not_checkpointed;
         ] );
     ]

@@ -11,6 +11,7 @@ module Store = Dcopt_service.Store
 module Telemetry = Dcopt_obs.Telemetry
 module Metrics = Dcopt_obs.Metrics
 module Par = Dcopt_par.Par
+module Clock = Dcopt_util.Clock
 
 let rows_to_string rows =
   String.concat "\n" (List.map (fun r -> Json.to_string (Job.row_to_json r)) rows)
@@ -280,6 +281,38 @@ let test_timeout () =
     | Job.Solved _ -> ()
     | _ -> Alcotest.fail "sibling job must be unaffected")
   | _ -> Alcotest.fail "expected two rows"
+
+(* Deadlines are monotonic: a wall clock stepping forward an hour at a
+   time (NTP, an injected clock jump) while a job computes must not time
+   it out. The offset is restored afterwards. *)
+let test_timeout_ignores_wall_clock_jumps () =
+  let hour_ns = 3_600_000_000_000L in
+  let stop = Atomic.make false in
+  let jumper =
+    Domain.spawn (fun () ->
+        let jumps = ref 0 in
+        while not (Atomic.get stop) do
+          Clock.jump_wall_ns hour_ns;
+          incr jumps;
+          Unix.sleepf 0.001
+        done;
+        !jumps)
+  in
+  let rows =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        let jumps = Domain.join jumper in
+        Clock.jump_wall_ns (Int64.mul (Int64.of_int (-jumps)) hour_ns))
+      (fun () ->
+        Service.run_batch
+          [ Job.make ~id:"steady" ~optimizer:"joint" ~timeout_s:30.0 "s298" ])
+  in
+  match rows with
+  | [ { Job.outcome = Job.Solved _; _ } ] -> ()
+  | [ { Job.outcome = Job.Failed { error; _ }; _ } ] ->
+    Alcotest.failf "wall-clock jumps timed the job out: %s" error
+  | _ -> Alcotest.fail "expected one solved row"
 
 let test_unknown_inputs_become_rows () =
   let rows =
@@ -570,12 +603,14 @@ let test_run_batch_via_out_of_order () =
   let reference = Service.run_batch jobs in
   let scrambled =
     Service.run_batch_via
-      ~execute:(fun ~batch_id tasks ->
+      ~execute:(fun ~batch_id ~on_result tasks ->
         let n = Array.length tasks in
         let out = Array.make n None in
         (* reverse order, like a slow worker finishing last *)
         for i = n - 1 downto 0 do
-          out.(i) <- Some (Service.compute_task ~batch_id tasks.(i))
+          let c = Service.compute_task ~batch_id tasks.(i) in
+          on_result tasks.(i) c;
+          out.(i) <- Some c
         done;
         Array.map Option.get out)
       jobs
@@ -641,5 +676,7 @@ let () =
           Alcotest.test_case "cooperative timeout" `Quick test_timeout;
           Alcotest.test_case "unknown inputs" `Quick
             test_unknown_inputs_become_rows;
+          Alcotest.test_case "timeout ignores wall-clock jumps" `Quick
+            test_timeout_ignores_wall_clock_jumps;
         ] );
     ]
