@@ -1,5 +1,13 @@
 module Json = Dcopt_util.Json
 
+type row = {
+  layer : string;
+  name : string;
+  unit : string;
+  value : float;
+  gated : bool;
+}
+
 type measurement = { name : string; ns : float }
 
 type verdict = {
@@ -11,52 +19,86 @@ type verdict = {
 }
 
 let default_threshold = 1.5
+let schema = "dcopt-bench-timing/2"
+let key (r : row) = r.layer ^ "/" ^ r.name
 
-(* The timing JSON (schema dcopt-bench-timing/1) carries several result
-   groups; the gate reads the ones stable enough to compare — bechamel
-   kernel estimates, the per-move incremental costs, the per-gate scale
-   STA costs, and the per-job fleet batch cost — and flattens them into
-   one namespaced list. full_joint is wall-clock of a 3 ms-scale run
-   and too noisy to gate on. *)
+let to_json_string ~quick ~jobs ~cpus rows =
+  let row_json (r : row) =
+    Json.Obj
+      [
+        ("layer", Json.String r.layer);
+        ("name", Json.String r.name);
+        ("unit", Json.String r.unit);
+        ( "value",
+          if Float.is_finite r.value then Json.Float r.value else Json.Null );
+        ("gated", Json.Bool r.gated);
+      ]
+  in
+  (* one row per line, so a refreshed baseline diffs row by row *)
+  Printf.sprintf
+    "{\n\
+    \  \"schema\": %s,\n\
+    \  \"quick\": %b,\n\
+    \  \"jobs\": %d,\n\
+    \  \"cpus\": %d,\n\
+    \  \"rows\": [\n\
+     %s\n\
+    \  ]\n\
+     }\n"
+    (Json.to_string (Json.String schema))
+    quick jobs cpus
+    (String.concat ",\n"
+       (List.map (fun r -> "    " ^ Json.to_string (row_json r)) rows))
+
+let measurements rows =
+  let gated = List.filter (fun (r : row) -> r.gated) rows in
+  match
+    List.find_opt
+      (fun (r : row) -> not (Float.is_finite r.value && r.value > 0.0))
+      gated
+  with
+  | Some r ->
+    Error (Printf.sprintf "gated row %S has no finite positive value" (key r))
+  | None -> Ok (List.map (fun r -> { name = key r; ns = r.value }) gated)
+
 let measurements_of_json json =
-  let list_field name =
-    match Json.field name json with
-    | Some l -> Option.value ~default:[] (Json.get_list l)
-    | None -> []
+  let str name item = Option.bind (Json.field name item) Json.get_string in
+  let row_of_json item =
+    match
+      ( str "layer" item,
+        str "name" item,
+        str "unit" item,
+        Option.bind (Json.field "gated" item) Json.get_bool )
+    with
+    | Some layer, Some name, Some unit, Some gated ->
+      let value =
+        Option.value ~default:nan
+          (Option.bind (Json.field "value" item) Json.get_float)
+      in
+      { layer; name; unit; value; gated }
+    | _ ->
+      failwith ("row lacks layer, name, unit or gated: " ^ Json.to_string item)
   in
-  let entry ~prefix ~ns_field item =
-    match (Json.field "name" item, Json.field ns_field item) with
-    | Some n, Some v -> (
-      match (Json.get_string n, Json.get_float v) with
-      | Some name, Some ns when Float.is_finite ns && ns > 0.0 ->
-        Some { name = prefix ^ name; ns }
-      | _ -> None)
-    | _ -> None
-  in
-  List.filter_map
-    (entry ~prefix:"kernel:" ~ns_field:"ns_per_run")
-    (list_field "kernels")
-  @ List.filter_map
-      (entry ~prefix:"incr:" ~ns_field:"incr_ns_per_move")
-      (list_field "incremental")
-  @ List.filter_map
-      (entry ~prefix:"scale:" ~ns_field:"ns_per_gate")
-      (list_field "scale")
-  @ List.filter_map
-      (entry ~prefix:"fleet:" ~ns_field:"ns_per_job")
-      (list_field "fleet")
+  match str "schema" json with
+  | Some s when String.equal s schema ->
+    let items =
+      Option.value ~default:[]
+        (Option.bind (Json.field "rows" json) Json.get_list)
+    in
+    (match List.map row_of_json items with
+    | rows -> measurements rows
+    | exception Failure e -> Error e)
+  | Some s -> Error (Printf.sprintf "schema %S is not %S" s schema)
+  | None -> Error (Printf.sprintf "not a %s document" schema)
 
 let load_baseline path =
   match Json.read_file path with
   | Error e -> Error e
   | Ok json -> (
-    match Json.field "schema" json with
-    | Some (Json.String "dcopt-bench-timing/1") -> (
-      match measurements_of_json json with
-      | [] -> Error (path ^ ": baseline contains no gateable measurements")
-      | ms -> Ok ms)
-    | Some _ | None ->
-      Error (path ^ ": not a dcopt-bench-timing/1 document"))
+    match measurements_of_json json with
+    | Error e -> Error (path ^ ": " ^ e)
+    | Ok [] -> Error (path ^ ": baseline contains no gated rows")
+    | Ok ms -> Ok ms)
 
 let check ?(threshold = default_threshold) ?(optional = fun _ -> false)
     ~baseline ~current () =
@@ -64,11 +106,11 @@ let check ?(threshold = default_threshold) ?(optional = fun _ -> false)
     (fun b ->
       match List.find_opt (fun c -> String.equal c.name b.name) current with
       | None ->
-        (* a kernel that vanished from the bench is silent coverage rot,
+        (* a row that vanished from the bench is silent coverage rot,
            which is exactly what the gate exists to catch — unless the
-           caller declares the name optional (e.g. scale kernels that a
-           quick run legitimately skips), in which case absence is a
-           skip, not a failure *)
+           caller declares the key optional (e.g. scale rows that a quick
+           run legitimately skips), in which case absence is a skip, not
+           a failure *)
         {
           v_name = b.name;
           baseline_ns = b.ns;
@@ -93,7 +135,7 @@ let failures verdicts = List.filter (fun v -> not v.v_ok) verdicts
 let render ?(threshold = default_threshold) verdicts =
   let table =
     Dcopt_util.Text_table.create
-      ~headers:[ "Measurement"; "Baseline"; "Current"; "Ratio"; "Gate" ]
+      ~headers:[ "Row (layer/name)"; "Baseline"; "Current"; "Ratio"; "Gate" ]
   in
   List.iter
     (fun v ->

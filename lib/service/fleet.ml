@@ -534,7 +534,7 @@ let execute t ~batch_id ~on_result tasks =
       (* the clock-jump injection seam: a jump displaces the wall clock
          the observability layer reads; loss detection below is
          monotonic and must not care (the regression test for the old
-         gettimeofday-based deadlines) *)
+         wall-clock deadlines) *)
       List.iter
         (function
           | Faults.Jump s ->

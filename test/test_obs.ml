@@ -271,37 +271,97 @@ let test_bench_gate_verdicts () =
   Alcotest.(check int) "current-only kernels ignored" 2
     (List.length (Bench_gate.check ~baseline ~current:extra ()))
 
+let timing_doc ?(schema = "dcopt-bench-timing/2") rows =
+  Json.Obj
+    [
+      ("schema", Json.String schema);
+      ("quick", Json.Bool true);
+      ("jobs", Json.Int 1);
+      ("cpus", Json.Int 1);
+      ( "rows",
+        Json.List
+          (List.map
+             (fun (layer, name, value, gated) ->
+               Json.Obj
+                 [
+                   ("layer", Json.String layer);
+                   ("name", Json.String name);
+                   ("unit", Json.String "ns/run");
+                   ("value", value);
+                   ("gated", Json.Bool gated);
+                 ])
+             rows) );
+    ]
+
 let test_bench_gate_json () =
-  let doc =
-    Json.Obj
+  let keys doc =
+    match Bench_gate.measurements_of_json doc with
+    | Ok ms -> List.map (fun m -> m.Bench_gate.name) ms
+    | Error e -> Alcotest.fail e
+  in
+  let rows =
+    [
+      ("opt", "sizing pass (s298)", Json.Float 12.5, true);
+      ("core", "joint optimize (s27)", Json.Float 0.004, false);
+      ("fleet", "fleet_batch jobs", Json.Null, false);
+      ("timing", "sta_100k", Json.Float 31.65, true);
+    ]
+  in
+  Alcotest.(check (list string)) "gated rows only, keyed layer/name"
+    [ "opt/sizing pass (s298)"; "timing/sta_100k" ]
+    (keys (timing_doc rows));
+  (match Bench_gate.measurements_of_json (timing_doc rows) with
+  | Ok (m :: _) -> check_float "value carried" 12.5 m.Bench_gate.ns
+  | _ -> Alcotest.fail "no measurements");
+  (* the writer's document reads back as the same gated rows *)
+  let written =
+    Bench_gate.to_json_string ~quick:true ~jobs:1 ~cpus:2
       [
-        ("schema", Json.String "dcopt-bench-timing/1");
-        ( "kernels",
-          Json.List
-            [
-              Json.Obj
-                [ ("name", Json.String "a"); ("ns_per_run", Json.Float 12.5) ];
-              Json.Obj [ ("name", Json.String "b"); ("ns_per_run", Json.Null) ];
-            ] );
-        ( "incremental",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("name", Json.String "c");
-                  ("incr_ns_per_move", Json.Float 3.0);
-                ];
-            ] );
+        { Bench_gate.layer = "opt"; name = "a"; unit = "ns/run"; value = 3.0;
+          gated = true };
+        { Bench_gate.layer = "core"; name = "b"; unit = "s"; value = nan;
+          gated = false };
       ]
   in
-  let ms = Bench_gate.measurements_of_json doc in
-  Alcotest.(check (list string)) "namespaced, null timings skipped"
-    [ "kernel:a"; "incr:c" ]
-    (List.map (fun m -> m.Bench_gate.name) ms);
-  check_float "kernel ns carried" 12.5 (List.hd ms).Bench_gate.ns;
+  Alcotest.(check (list string)) "writer round-trips" [ "opt/a" ]
+    (keys (Json.of_string_exn written));
+  let rejects what doc needle =
+    match Bench_gate.measurements_of_json doc with
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Error e ->
+      Alcotest.(check bool) (what ^ " error names " ^ needle) true
+        (contains ~needle e)
+  in
+  (* a gated row without a usable value must not silently gate less *)
+  List.iter
+    (fun (what, value) ->
+      rejects what
+        (timing_doc (("opt", "sizing_incr", value, true) :: rows))
+        "opt/sizing_incr")
+    [
+      ("null gated row", Json.Null);
+      ("zero gated row", Json.Float 0.0);
+      ("negative gated row", Json.Float (-1.0));
+      ("non-finite gated row", Json.String "inf");
+    ];
+  rejects "v1 document"
+    (timing_doc ~schema:"dcopt-bench-timing/1" rows)
+    "dcopt-bench-timing/1";
   match Bench_gate.load_baseline "no_such_baseline.json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonexistent baseline loaded"
+
+(* The committed baseline parses as v2 with all fourteen gated rows, so a
+   row dropped in a refresh fails here, not only in the smoke gate. *)
+let test_committed_baseline () =
+  match Bench_gate.load_baseline "BENCH_timing.json" with
+  | Error e -> Alcotest.fail e
+  | Ok ms ->
+    Alcotest.(check int) "gated rows" 14 (List.length ms);
+    Alcotest.(check bool) "sizing pass keyed by layer" true
+      (List.exists
+         (fun m -> String.equal m.Bench_gate.name "opt/sizing pass (s298)")
+         ms)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON checker (recursive descent), enough to validate the
@@ -815,6 +875,8 @@ let () =
         [
           Alcotest.test_case "verdicts" `Quick test_bench_gate_verdicts;
           Alcotest.test_case "timing json" `Quick test_bench_gate_json;
+          Alcotest.test_case "committed baseline loads" `Quick
+            test_committed_baseline;
         ] );
       ( "span",
         [
