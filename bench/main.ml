@@ -417,6 +417,33 @@ let scale_rows () =
   in
   List.concat_map one (scale_sizes ~quick:!quick)
 
+(* Procedure-1 rows: delay budgeting on the generated seed-5 DAGs at
+   50 MHz, the circuits ROADMAP quotes, as min-of-k wall clock (one run
+   is milliseconds, too long for a bechamel quota). The 10k row is always
+   measured; the 100k row runs with the scale rows. *)
+
+let proc1_name label = Printf.sprintf "procedure-1 budgets (%s)" label
+
+let proc1_sizes ~with_scale =
+  ("dag10k", 10_000, 10)
+  :: (if with_scale then [ ("100k", 100_000, 3) ] else [])
+
+let proc1_rows () =
+  let module G = Dcopt_netlist.Generator in
+  let one (label, gates, reps) =
+    let c = G.random_dag (G.default_dag ~seed:5L ~gates ()) in
+    let best = ref infinity in
+    for _ = 1 to reps do
+      let _, dt =
+        wall (fun () ->
+            Dcopt_timing.Delay_assign.assign c ~cycle_time:(1.0 /. 50e6))
+      in
+      best := Float.min !best dt
+    done;
+    row ~gated:true "timing" (proc1_name label) "ns/run" (!best *. 1e9)
+  in
+  List.map one (proc1_sizes ~with_scale:((not !quick) || !scale))
+
 (* Fleet throughput rows: the same 64-job batch (s27 joint, one
    distinct operating point per job) through a 4-worker fleet vs a
    1-worker fleet. Both sides go through identical machinery — fresh
@@ -513,7 +540,7 @@ let fleet_rows () =
   end
 
 let measure_rows () =
-  kernel_rows () @ joint_rows () @ incremental_rows ()
+  kernel_rows () @ proc1_rows () @ joint_rows () @ incremental_rows ()
   @ (if (not !quick) || !scale then scale_rows () else [])
   @ fleet_rows ()
 
@@ -565,14 +592,15 @@ let run_gate baseline_path rows =
     match Bench_gate.measurements rows with Ok ms -> ms | Error e -> fail e
   in
   (* scale and fleet rows are optional on the baseline side: a quick run
-     without --scale legitimately skips the former, and a bench binary run
-     without bin/minpower.exe built cannot spawn the latter (they gate
-     whenever measured) *)
+     without --scale legitimately skips the former (the 100k Procedure-1
+     row included), and a bench binary run without bin/minpower.exe
+     built cannot spawn the latter (they gate whenever measured) *)
   let optional key =
     String.starts_with ~prefix:"fleet/" key
     || List.exists
          (fun (name, _, _) -> String.equal key ("timing/" ^ name))
          (scale_sizes ~quick:false)
+    || String.equal key ("timing/" ^ proc1_name "100k")
   in
   match Bench_gate.load_baseline baseline_path with
   | Error e -> fail e

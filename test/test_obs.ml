@@ -351,13 +351,13 @@ let test_bench_gate_json () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonexistent baseline loaded"
 
-(* The committed baseline parses as v2 with all fourteen gated rows, so a
+(* The committed baseline parses as v2 with all sixteen gated rows, so a
    row dropped in a refresh fails here, not only in the smoke gate. *)
 let test_committed_baseline () =
   match Bench_gate.load_baseline "BENCH_timing.json" with
   | Error e -> Alcotest.fail e
   | Ok ms ->
-    Alcotest.(check int) "gated rows" 14 (List.length ms);
+    Alcotest.(check int) "gated rows" 16 (List.length ms);
     Alcotest.(check bool) "sizing pass keyed by layer" true
       (List.exists
          (fun m -> String.equal m.Bench_gate.name "opt/sizing pass (s298)")

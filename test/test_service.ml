@@ -188,6 +188,42 @@ let test_digest_sensitivity () =
   Alcotest.(check string) "key is stable" d0
     (digest_of ~optimizer:"joint" Flow.default_config)
 
+(* An entry written under an older code-model version is a miss: the
+   key folds the version in, so the job recomputes and stores its row
+   under the current key. *)
+let test_old_model_version_is_a_miss () =
+  let circuit = Suite.find_exn "s27" in
+  let digest_at version =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            [
+              version;
+              "joint";
+              Json.to_string (Flow.config_to_json Flow.default_config);
+              Dcopt_netlist.Bench_format.to_string circuit;
+            ]))
+  in
+  let fresh = Store.open_ (temp_store ()) in
+  let cold = Service.run_batch ~store:fresh [ Job.make "s27" ] in
+  let key = (List.hd cold).Job.digest in
+  Alcotest.(check string) "key is the versioned digest"
+    (digest_at Store.code_model_version) key;
+  let old_key = digest_at "1" in
+  Alcotest.(check bool) "the old version keys differently" true
+    (old_key <> key);
+  let stale = Store.open_ (temp_store ()) in
+  (match Store.find fresh key with
+   | Some doc -> Store.put stale old_key doc
+   | None -> Alcotest.fail "cold run stored nothing");
+  let rerun = Service.run_batch ~store:stale [ Job.make "s27" ] in
+  Alcotest.(check bool) "old-version entry is a miss" false
+    (List.hd rerun).Job.cache_hit;
+  Alcotest.(check string) "the job recomputes the same row"
+    (rows_to_string cold) (rows_to_string rerun);
+  Alcotest.(check bool) "and stores it under the current key" true
+    (Option.is_some (Store.find stale key))
+
 (* --- isolation, retry, timeout ---------------------------------------- *)
 
 let test_fault_injection_and_isolation () =
@@ -645,6 +681,8 @@ let () =
             test_within_batch_dedup;
           Alcotest.test_case "digest sensitivity" `Quick
             test_digest_sensitivity;
+          Alcotest.test_case "old code-model version is a miss" `Quick
+            test_old_model_version_is_a_miss;
         ] );
       ( "fleet",
         [

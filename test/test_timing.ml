@@ -3,7 +3,6 @@ module Gate = Dcopt_netlist.Gate
 module Patterns = Dcopt_netlist.Patterns
 module Generator = Dcopt_netlist.Generator
 module Sta = Dcopt_timing.Sta
-module Kpaths = Dcopt_timing.Kpaths
 module Delay_assign = Dcopt_timing.Delay_assign
 
 let diamond () =
@@ -86,7 +85,7 @@ let test_effective_fanout_floor () =
   let c = diamond () in
   (* out is a PO with no gate fanouts: effective fanout 1 *)
   Alcotest.(check int) "po gate" 1
-    (Kpaths.effective_fanout c (Circuit.find c "out"))
+    (Delay_assign.effective_fanout c (Circuit.find c "out"))
 
 let test_kpaths_diamond () =
   let c = diamond () in
@@ -157,7 +156,7 @@ let test_kpaths_paths_are_connected =
         let crit_ok =
           p.Kpaths.criticality
           = List.fold_left
-              (fun acc id -> acc + Kpaths.effective_fanout c id)
+              (fun acc id -> acc + Delay_assign.effective_fanout c id)
               0 p.Kpaths.gate_ids
         in
         chained p.Kpaths.gate_ids && ends_at_po && crit_ok
@@ -285,6 +284,158 @@ let test_assign_dangling_gets_fallback () =
   Alcotest.(check int) "one fallback" 1 b.Delay_assign.fallback_gates
 
 (* ------------------------------------------------------------------ *)
+(* Procedure 1's path order against the uncapped K-paths oracle        *)
+
+(* The ISCAS suite cores plus seeded random DAGs of at most 2k gates. *)
+let proc1_circuits () =
+  List.map
+    (fun (name, c) -> (name, Circuit.combinational_core c))
+    (Dcopt_suite.Suite.all ())
+  @ List.map
+      (fun (gates, seed) ->
+        ( Printf.sprintf "dag%d/%d" gates seed,
+          Generator.random_dag
+            (Generator.default_dag ~seed:(Int64.of_int seed) ~gates ()) ))
+      [ (200, 1); (500, 2); (1000, 3); (2000, 4) ]
+
+(* Gates on some PI-to-PO path, counted without Delay_assign: reachable
+   from a primary input and co-reachable from a primary output through
+   gates only. *)
+let gates_on_pi_po_paths c =
+  let n = Circuit.size c in
+  let is_gate id =
+    match (Circuit.node c id).Circuit.kind with
+    | Gate.Input | Gate.Dff -> false
+    | _ -> true
+  in
+  let from_pi = Array.make n false and to_po = Array.make n false in
+  let order = Circuit.topo_order c in
+  Array.iter
+    (fun id ->
+      if is_gate id then
+        from_pi.(id) <-
+          Array.exists
+            (fun f -> (not (is_gate f)) || from_pi.(f))
+            (Circuit.node c id).Circuit.fanins)
+    order;
+  for i = Array.length order - 1 downto 0 do
+    let id = order.(i) in
+    if is_gate id then
+      to_po.(id) <-
+        Circuit.is_output c id
+        || Array.exists (fun g -> is_gate g && to_po.(g)) (Circuit.fanouts c id)
+  done;
+  let on = ref 0 and gates = ref 0 in
+  for id = 0 to n - 1 do
+    if is_gate id then begin
+      incr gates;
+      if from_pi.(id) && to_po.(id) then incr on
+    end
+  done;
+  (!on, !gates)
+
+(* The k-th consumed path has the criticality of the first oracle path
+   that still holds a gate unassigned at step k. The assigned set only
+   grows, so one pointer walk over the oracle stream covers every step;
+   this pins the rule without pinning the order among equal-criticality
+   paths. *)
+let test_proc1_matches_oracle () =
+  List.iter
+    (fun (name, c) ->
+      let assigned = Array.make (Circuit.size c) false in
+      let head = ref (Kpaths.enumerate c ()) in
+      let rec next_contributing k =
+        match !head with
+        | Seq.Nil -> Alcotest.failf "%s: oracle exhausted at path %d" name k
+        | Seq.Cons (p, rest) ->
+          if List.exists (fun id -> not assigned.(id)) p.Kpaths.gate_ids then
+            p.Kpaths.criticality
+          else begin
+            head := rest ();
+            next_contributing k
+          end
+      in
+      List.iteri
+        (fun k (p : Delay_assign.path) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s path %d criticality" name k)
+            (next_contributing k) p.Delay_assign.criticality;
+          List.iter (fun id -> assigned.(id) <- true) p.Delay_assign.gate_ids)
+        (Delay_assign.consumed_paths c))
+    (proc1_circuits ())
+
+(* Every consumed path is a PI-to-PO chain whose criticality is its
+   fanout sum, holds a gate no earlier path holds, and is no more
+   critical than the one before it. *)
+let test_proc1_paths_well_formed () =
+  List.iter
+    (fun (name, c) ->
+      let assigned = Array.make (Circuit.size c) false in
+      let prev = ref max_int in
+      List.iteri
+        (fun k (p : Delay_assign.path) ->
+          let ids = p.Delay_assign.gate_ids in
+          let what = Printf.sprintf "%s path %d" name k in
+          let rec chained = function
+            | a :: (b :: _ as rest) ->
+              Array.exists (( = ) b) (Circuit.fanouts c a) && chained rest
+            | _ -> true
+          in
+          let starts_at_pi =
+            match ids with
+            | first :: _ ->
+              Array.exists
+                (fun f -> (Circuit.node c f).Circuit.kind = Gate.Input)
+                (Circuit.node c first).Circuit.fanins
+            | [] -> false
+          in
+          Alcotest.(check bool) (what ^ " is a PI-to-PO chain") true
+            (chained ids && starts_at_pi
+            && Circuit.is_output c (List.nth ids (List.length ids - 1)));
+          Alcotest.(check int) (what ^ " criticality is its fanout sum")
+            (List.fold_left
+               (fun acc id -> acc + Delay_assign.effective_fanout c id)
+               0 ids)
+            p.Delay_assign.criticality;
+          Alcotest.(check bool) (what ^ " holds an unassigned gate") true
+            (List.exists (fun id -> not assigned.(id)) ids);
+          Alcotest.(check bool) (what ^ " criticality never increases") true
+            (p.Delay_assign.criticality <= !prev);
+          prev := p.Delay_assign.criticality;
+          List.iter (fun id -> assigned.(id) <- true) ids)
+        (Delay_assign.consumed_paths c))
+    (proc1_circuits ())
+
+(* Only dead logic falls back; every budget is positive and the
+   postcondition holds. *)
+let test_proc1_fallback_is_dead_logic () =
+  List.iter
+    (fun (name, c) ->
+      let b = Delay_assign.assign c ~cycle_time:3.33e-9 in
+      let on, gates = gates_on_pi_po_paths c in
+      Alcotest.(check int) (name ^ " fallback = gates on no PI-to-PO path")
+        (gates - on) b.Delay_assign.fallback_gates;
+      Alcotest.(check int) (name ^ " paths_used = consumed paths")
+        (List.length (Delay_assign.consumed_paths c))
+        b.Delay_assign.paths_used;
+      Alcotest.(check bool) (name ^ " every budget > 0") true
+        (Array.for_all
+           (fun nd ->
+             match nd.Circuit.kind with
+             | Gate.Input | Gate.Dff -> true
+             | _ -> b.Delay_assign.t_max.(nd.Circuit.id) > 0.0)
+           (Circuit.nodes c));
+      Alcotest.(check bool) (name ^ " verify") true
+        (Delay_assign.verify c b ~cycle_time:3.33e-9))
+    (proc1_circuits ());
+  List.iter
+    (fun name ->
+      let c = Circuit.combinational_core (Dcopt_suite.Suite.find_exn name) in
+      Alcotest.(check int) (name ^ " has no fallback gate") 0
+        (Delay_assign.assign c ~cycle_time:3.33e-9).Delay_assign.fallback_gates)
+    [ "s344"; "s1488" ]
+
+(* ------------------------------------------------------------------ *)
 (* Incremental STA                                                     *)
 
 (* Regression: a [recompute] that raises mid-bucket (the optimizers'
@@ -368,6 +519,15 @@ let () =
             test_assign_dangling_gets_fallback;
           QCheck_alcotest.to_alcotest budgets_meet_cycle_property;
           QCheck_alcotest.to_alcotest budgets_positive_property;
+        ] );
+      ( "procedure-1 order",
+        [
+          Alcotest.test_case "matches the uncapped oracle" `Quick
+            test_proc1_matches_oracle;
+          Alcotest.test_case "paths well formed" `Quick
+            test_proc1_paths_well_formed;
+          Alcotest.test_case "fallback is dead logic" `Quick
+            test_proc1_fallback_is_dead_logic;
         ] );
       ( "incremental",
         [
